@@ -12,10 +12,12 @@ use std::time::Duration;
 use swsimd_core::Hit;
 use swsimd_obs::flight::AuditRecord;
 use swsimd_obs::trace::TraceCtx;
-use swsimd_runner::{rank_hits, Fidelity};
+use swsimd_runner::{rank_hits, Fidelity, Request, ServeError};
 use swsimd_seq::integrity::crc32;
 
-use crate::wire::{ranking_digest, read_msg, write_msg, Msg, RemoteError, StreamToken, WireError};
+use crate::wire::{
+    budget_ms, ranking_digest, read_msg, write_msg, Msg, RemoteError, StreamToken, WireError,
+};
 
 /// Client-side failure: transport/framing, a typed remote error, or a
 /// protocol violation (unexpected frame kind).
@@ -115,57 +117,46 @@ impl NetClient {
         self.stream.set_read_timeout(timeout)
     }
 
-    /// Run one query. `deadline_ms == 0` means no deadline.
+    /// Run one request. The frame carries the request's trace context
+    /// (so the server's span tree parents under the caller's request
+    /// span), its tenant (the serving tier's fair-share scheduler, rate
+    /// limits and per-tenant metrics key on it) and what is left of its
+    /// deadline. An untraced default-tenant request encodes
+    /// byte-identically to the pre-trace, pre-tenant wire format. A
+    /// deadline that has already passed fails locally with
+    /// [`ServeError::DeadlineExceeded`].
+    pub fn send(&mut self, req: &Request) -> Result<HitsReply, NetError> {
+        let deadline_ms = wire_deadline(req)?;
+        self.unary(req, deadline_ms)
+    }
+
+    /// [`NetClient::send`] for an untraced default-tenant request.
+    /// `deadline_ms == 0` means no deadline.
     pub fn query(
         &mut self,
         query: &[u8],
         top_k: usize,
         deadline_ms: u32,
     ) -> Result<HitsReply, NetError> {
-        self.query_traced(query, top_k, deadline_ms, TraceCtx::default())
+        self.unary(&Request::new(query.to_vec(), top_k), deadline_ms)
     }
 
-    /// [`NetClient::query`] under a caller-minted trace context, so the
-    /// server's span tree parents under the caller's request span. An
-    /// untraced context (the default) encodes byte-identically to the
-    /// pre-trace wire format.
-    pub fn query_traced(
-        &mut self,
-        query: &[u8],
-        top_k: usize,
-        deadline_ms: u32,
-        trace: TraceCtx,
-    ) -> Result<HitsReply, NetError> {
-        self.query_tenant(query, top_k, deadline_ms, trace, "")
-    }
-
-    /// [`NetClient::query_traced`] billed to `tenant` (empty = the
-    /// default tenant; encodes byte-identically to the pre-tenant
-    /// wire format). The serving tier's fair-share scheduler, rate
-    /// limits, and per-tenant metrics all key on this name.
-    pub fn query_tenant(
-        &mut self,
-        query: &[u8],
-        top_k: usize,
-        deadline_ms: u32,
-        trace: TraceCtx,
-        tenant: &str,
-    ) -> Result<HitsReply, NetError> {
+    fn unary(&mut self, req: &Request, deadline_ms: u32) -> Result<HitsReply, NetError> {
         let id = self.next_id;
         self.next_id += 1;
         write_msg(
             &mut self.stream,
             &Msg::Query {
                 id,
-                top_k: top_k as u32,
+                top_k: req.top_k as u32,
                 deadline_ms,
                 // slice_count 0 = "route for me": the shard answers
                 // its own slice, the gateway scatter-gathers.
                 slice_index: 0,
                 slice_count: 0,
-                query: query.to_vec(),
-                trace,
-                tenant: tenant.to_string(),
+                query: req.query.clone(),
+                trace: req.trace,
+                tenant: req.tenant.clone(),
             },
         )?;
         match read_msg(&mut self.stream)? {
@@ -282,52 +273,34 @@ impl NetClient {
 
     /// Open a streaming query: chunks of ranked hits arrive
     /// incrementally, interleaved with [`StreamEvent::Progress`]
-    /// heartbeats, terminated by [`StreamEvent::Fin`]. `credit` is
-    /// the number of chunks the server may push before waiting for
+    /// heartbeats, terminated by [`StreamEvent::Fin`]. The request
+    /// travels as in [`NetClient::send`]. `credit` is the number of
+    /// chunks the server may push before waiting for
     /// [`StreamHandle::grant`] — the client's receive-buffer bound.
-    pub fn stream_query(
-        &mut self,
-        query: &[u8],
-        top_k: usize,
-        deadline_ms: u32,
-        credit: u32,
-    ) -> Result<StreamHandle<'_>, NetError> {
-        self.stream_query_traced(query, top_k, deadline_ms, credit, TraceCtx::default(), "")
-    }
-
-    /// [`NetClient::stream_query`] under a caller trace context,
-    /// billed to `tenant`.
-    pub fn stream_query_traced(
-        &mut self,
-        query: &[u8],
-        top_k: usize,
-        deadline_ms: u32,
-        credit: u32,
-        trace: TraceCtx,
-        tenant: &str,
-    ) -> Result<StreamHandle<'_>, NetError> {
+    pub fn stream(&mut self, req: &Request, credit: u32) -> Result<StreamHandle<'_>, NetError> {
+        let deadline_ms = wire_deadline(req)?;
         let id = self.next_id;
         self.next_id += 1;
         write_msg(
             &mut self.stream,
             &Msg::StreamQuery {
                 id,
-                top_k: top_k as u32,
+                top_k: req.top_k as u32,
                 deadline_ms,
                 slice_index: 0,
                 slice_count: 0,
                 credit: credit.max(1),
                 cursor: 0,
-                query: query.to_vec(),
-                trace,
-                tenant: tenant.to_string(),
+                query: req.query.clone(),
+                trace: req.trace,
+                tenant: req.tenant.clone(),
             },
         )?;
         Ok(StreamHandle {
             client: self,
             id,
-            top_k: top_k as u32,
-            query_crc: crc32(query),
+            top_k: req.top_k as u32,
+            query_crc: crc32(&req.query),
             trace_id: 0,
             delivered: BTreeMap::new(),
             hits: Vec::new(),
@@ -536,6 +509,13 @@ impl StreamHandle<'_> {
     pub fn finished(&self) -> bool {
         self.finished
     }
+}
+
+/// The request's deadline as a frame's relative `deadline_ms`.
+fn wire_deadline(req: &Request) -> Result<u32, NetError> {
+    budget_ms(req.deadline).ok_or(NetError::Remote(RemoteError::Serve(
+        ServeError::DeadlineExceeded,
+    )))
 }
 
 fn resolve(addr: &str) -> io::Result<SocketAddr> {

@@ -11,26 +11,20 @@
 //! frames still answer.
 
 use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use swsimd_core::{CancelReason, Hit};
-use swsimd_obs::trace::TraceCtx;
 use swsimd_seq::integrity::crc32;
 
+use crate::conn::{
+    frame_ready, peer_gone, Acceptor, Inbound, Lifecycle, Service, POLL_STEP, STREAM_HEARTBEAT,
+};
 use crate::gateway::{Gateway, StreamItem};
 use crate::metrics::{AbandonReason, NetCancelled, StreamMetrics};
-use crate::shard::{flight_json, flight_limit};
-use crate::wire::{ranking_digest, read_msg, write_msg, Msg, RemoteError, WireError};
-
-const POLL_STEP: Duration = Duration::from_millis(5);
-const ACCEPT_STEP: Duration = Duration::from_millis(10);
-
-/// Cadence of [`Msg::Progress`] heartbeats on an otherwise-quiet
-/// client stream: liveness proof between chunks.
-const STREAM_HEARTBEAT: Duration = Duration::from_millis(250);
+use crate::wire::{ranking_digest, read_msg, write_msg, Msg, RemoteError, StreamToken};
 
 /// Default idle cutoff for a silent peer when none is configured.
 const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
@@ -40,22 +34,16 @@ pub const GATEWAY_SHARD_ID: u32 = u32::MAX;
 
 struct FrontShared {
     gateway: Gateway,
-    draining: AtomicBool,
-    stopping: AtomicBool,
-    in_flight: AtomicUsize,
+    life: Lifecycle,
     cancelled: NetCancelled,
     stream: StreamMetrics,
-    /// Per-connection read timeout: the cutoff for a peer that sends
-    /// *nothing* — streams stay alive under it via heartbeats.
-    idle_timeout: Duration,
 }
 
 /// A running gateway front door.
 pub struct GatewayServer {
     shared: Arc<FrontShared>,
     addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    acceptor: Acceptor,
     drain_timeout: Duration,
 }
 
@@ -87,24 +75,16 @@ impl GatewayServer {
         listener.set_nonblocking(true)?;
         let shared = Arc::new(FrontShared {
             gateway,
-            draining: AtomicBool::new(false),
-            stopping: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
+            life: Lifecycle::default(),
             cancelled: NetCancelled::new(),
             stream: StreamMetrics::new(),
-            idle_timeout,
         });
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-        let accept_shared = Arc::clone(&shared);
-        let accept_conns = Arc::clone(&conns);
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(listener, accept_shared, accept_conns);
-        });
+        let acceptor =
+            Acceptor::spawn(listener, Arc::clone(&shared), idle_timeout, "gateway_front");
         Ok(GatewayServer {
             shared,
             addr,
-            accept_thread: Some(accept_thread),
-            conns,
+            acceptor,
             drain_timeout,
         })
     }
@@ -116,17 +96,17 @@ impl GatewayServer {
 
     /// True once a drain has been requested.
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
+        self.shared.life.draining()
     }
 
     /// Queries currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Acquire)
+        self.shared.life.in_flight.load(Ordering::Acquire)
     }
 
     /// Begin refusing new queries.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.life.draining.store(true, Ordering::Release);
     }
 
     /// Drain, wait up to the drain timeout for in-flight queries,
@@ -136,561 +116,279 @@ impl GatewayServer {
     }
 
     fn shutdown_inner(&mut self) -> bool {
-        self.drain();
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.shared.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            std::thread::sleep(POLL_STEP);
-        }
-        let clean = self.shared.in_flight.load(Ordering::Acquire) == 0;
-        self.shared.stopping.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let conns = std::mem::take(&mut *lock_ok(&self.conns));
-        for c in conns {
-            let _ = c.join();
-        }
+        let clean = self.shared.life.drain_and_stop(self.drain_timeout);
+        self.acceptor.join();
         clean
     }
 }
 
 impl Drop for GatewayServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
+        if self.acceptor.is_running() {
             self.shutdown_inner();
         }
     }
 }
 
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<FrontShared>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    while !shared.stopping.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    let _ = serve_conn(stream, conn_shared);
-                });
-                lock_ok(&conns).push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(ACCEPT_STEP);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_STEP),
-        }
+impl Service for FrontShared {
+    fn life(&self) -> &Lifecycle {
+        &self.life
     }
-}
 
-fn peer_gone(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
+    fn pong_id(&self) -> u32 {
+        GATEWAY_SHARD_ID
     }
-    let mut probe = [0u8; 1];
-    let gone = match stream.peek(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            false
-        }
-        Err(_) => true,
-    };
-    let _ = stream.set_nonblocking(false);
-    gone
-}
 
-fn serve_conn(mut stream: TcpStream, shared: Arc<FrontShared>) -> std::io::Result<()> {
-    crate::listen::apply_socket_opts(&stream, Some(shared.idle_timeout), "gateway_front");
-    loop {
-        loop {
-            if shared.stopping.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if peer_gone(&stream) {
-                return Ok(());
-            }
-            let mut probe = [0u8; 1];
-            let _ = stream.set_nonblocking(true);
-            let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-            let _ = stream.set_nonblocking(false);
-            if ready {
-                break;
-            }
-            std::thread::sleep(POLL_STEP);
-        }
-        let msg = match read_msg(&mut stream) {
-            Ok(m) => m,
-            Err(WireError::Eof) => return Ok(()),
-            Err(_) => return Ok(()),
-        };
-        match msg {
-            Msg::Ping { nonce } => {
-                let pong = Msg::Pong {
-                    nonce,
-                    shard: GATEWAY_SHARD_ID,
-                    draining: shared.draining.load(Ordering::Acquire),
-                };
-                if write_msg(&mut stream, &pong).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::Drain => {
-                shared.draining.store(true, Ordering::Release);
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: GATEWAY_SHARD_ID,
-                    draining: true,
-                };
-                if write_msg(&mut stream, &ack).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::MetricsRequest => {
-                let text = swsimd_obs::global().prometheus_text().into_bytes();
-                if write_msg(&mut stream, &Msg::MetricsText { text }).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::Query {
-                id,
-                top_k,
-                deadline_ms,
-                query,
-                trace,
-                tenant,
-                ..
-            } => match handle_query(
-                &shared,
-                &stream,
-                id,
-                top_k,
-                deadline_ms,
-                query,
-                trace,
-                tenant,
-            ) {
-                Some(reply) => {
-                    if write_msg(&mut stream, &reply).is_err() {
-                        return Ok(());
-                    }
-                }
-                None => return Ok(()),
-            },
-            Msg::TraceRequest { trace_id } => {
-                let records = swsimd_obs::flight::global()
-                    .lookup(trace_id)
-                    .into_iter()
-                    .collect();
-                if write_msg(&mut stream, &Msg::FlightRecords { records }).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::SlowlogRequest { limit } => {
-                let records = swsimd_obs::flight::global().slowlog(flight_limit(limit));
-                if write_msg(&mut stream, &Msg::FlightRecords { records }).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::FlightJsonRequest {
-                trace_id,
-                limit,
-                slow_only,
-            } => {
-                let text = flight_json(trace_id, limit, slow_only).into_bytes();
-                if write_msg(&mut stream, &Msg::FlightJson { text }).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::Activate => {
-                // Gateways have no standby state; acknowledge so a
-                // supervisor can treat the frame uniformly.
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: GATEWAY_SHARD_ID,
-                    draining: shared.draining.load(Ordering::Acquire),
-                };
-                if write_msg(&mut stream, &ack).is_err() {
-                    return Ok(());
-                }
-            }
-            Msg::StreamQuery {
-                id,
-                top_k,
-                deadline_ms,
-                credit,
-                query,
-                trace,
-                tenant,
-                ..
-            } => {
-                let req = StreamReq {
-                    id,
-                    top_k,
-                    deadline_ms,
-                    credit,
-                    query,
-                    trace,
-                    tenant,
-                    filter: HashMap::new(),
-                };
-                if !handle_stream(&shared, &mut stream, req) {
-                    return Ok(());
-                }
-            }
-            Msg::Resume {
-                id,
-                deadline_ms,
-                credit,
-                token,
-                query,
-                trace,
-                tenant,
-            } => {
-                if token.query_crc != crc32(&query) {
-                    // The token binds the query by hash; these bytes
-                    // are not the query it claims to continue.
-                    if write_msg(
-                        &mut stream,
-                        &Msg::Error {
-                            id,
-                            err: RemoteError::BadResumeToken,
-                        },
-                    )
-                    .is_err()
-                    {
-                        return Ok(());
-                    }
-                    continue;
-                }
-                shared.stream.resumes.inc();
-                swsimd_obs::event!(
-                    "stream_resume",
-                    "id" => id,
-                    "trace_id" => token.trace_id,
-                    "slices" => token.cursors.len()
-                );
-                let req = StreamReq {
-                    id,
-                    // The resumed merge must run at the original depth
-                    // or the Fin digest would describe a different
-                    // ranking than the one the client assembled.
-                    top_k: token.top_k,
-                    deadline_ms,
-                    credit,
-                    query,
-                    trace,
-                    tenant,
-                    filter: token.cursors.iter().copied().collect(),
-                };
-                if !handle_stream(&shared, &mut stream, req) {
-                    return Ok(());
-                }
-            }
-            // Reply kinds (and mid-stream frames outside a stream) on
-            // a fresh request slot are a protocol violation: close.
-            Msg::Hits { .. }
-            | Msg::Error { .. }
-            | Msg::Pong { .. }
-            | Msg::MetricsText { .. }
-            | Msg::FlightRecords { .. }
-            | Msg::FlightJson { .. }
-            | Msg::StreamChunk { .. }
-            | Msg::Progress { .. }
-            | Msg::Credit { .. }
-            | Msg::Fin { .. } => return Ok(()),
-        }
-    }
-}
-
-/// One client stream request (fresh or resumed) as the front door
-/// sees it.
-struct StreamReq {
-    id: u64,
-    top_k: u32,
-    deadline_ms: u32,
-    credit: u32,
-    query: Vec<u8>,
-    trace: TraceCtx,
-    tenant: String,
-    /// Per-slice cursors already delivered to *this client* (from a
-    /// resume token); chunks at or below them are folded into the
-    /// final digest but not re-sent.
-    filter: HashMap<u32, u64>,
-}
-
-/// Serve one streaming query on `stream`. Returns false when the
-/// connection should close (client gone or protocol violation); true
-/// keeps it open for the next request.
-fn handle_stream(shared: &Arc<FrontShared>, stream: &mut TcpStream, req: StreamReq) -> bool {
-    let StreamReq {
-        id,
-        top_k,
-        deadline_ms,
-        credit,
-        query,
-        trace,
-        tenant,
-        filter,
-    } = req;
-    if shared.draining.load(Ordering::Acquire) {
-        return write_msg(
-            stream,
-            &Msg::Error {
-                id,
-                err: RemoteError::Draining,
-            },
-        )
-        .is_ok();
-    }
-    let _guard = InFlight::enter(&shared.in_flight);
-    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-    // The gateway always re-pulls every slice from cursor 0 — a
-    // resume replays cheap durable journal state — so the final merge
-    // and Fin digest always cover the whole ranking; `delivered`
-    // (seeded from the resume token) only gates what is re-sent.
-    let mut gs = match shared.gateway.stream_query_traced_for(
-        &tenant,
-        &query,
-        top_k as usize,
-        deadline,
-        trace,
-        credit,
-    ) {
-        Ok(gs) => gs,
-        Err(err) => return write_msg(stream, &Msg::Error { id, err }).is_ok(),
-    };
-    let mut delivered = filter;
-    let mut client_credit = credit;
-    let mut stall_counted = false;
-    let mut last_write = Instant::now();
-    let mut pending: Option<(u32, u64, Vec<Hit>)> = None;
-    let abandon = |reason: AbandonReason| {
-        shared.stream.abandon(reason);
-        swsimd_obs::event!(
-            "stream_abandoned",
-            "id" => id,
-            "at" => "gateway",
-            "reason" => reason.as_str()
-        );
-    };
-    loop {
-        // 1. Absorb client frames: only Credit grants are legal
-        //    mid-stream.
-        while frame_ready(stream) {
-            match read_msg(stream) {
-                Ok(Msg::Credit { id: cid, credits }) if cid == id => {
-                    client_credit = client_credit.saturating_add(credits);
-                    stall_counted = false;
-                }
-                _ => {
-                    abandon(AbandonReason::Error);
-                    return false;
-                }
-            }
-        }
-        // 2. Liveness and shutdown.
-        if peer_gone(stream) {
-            shared.cancelled.record(CancelReason::ClientDrop);
-            abandon(AbandonReason::ClientDrop);
-            return false;
-        }
-        if shared.stopping.load(Ordering::Acquire) {
-            shared.cancelled.record(CancelReason::Shutdown);
-            abandon(AbandonReason::Shutdown);
-            let _ = write_msg(
+    /// Run the scatter-gather on a worker thread while this connection
+    /// thread watches for client disconnect; a client that went away
+    /// closes the connection without a reply.
+    fn query(self: &Arc<Self>, stream: &mut TcpStream, q: Inbound) -> bool {
+        let id = q.id;
+        if self.life.draining() {
+            return write_msg(
                 stream,
                 &Msg::Error {
                     id,
-                    err: RemoteError::Serve(swsimd_runner::ServeError::ShutDown),
+                    err: RemoteError::Draining,
                 },
-            );
-            return false;
+            )
+            .is_ok();
         }
-        // 3. Pull the next merge item unless one is already waiting
-        //    on client credit. Holding at most one chunk here keeps
-        //    the rest in the gateway's bounded buffer, so
-        //    backpressure reaches the shards through their own
-        //    credit windows — and `Fin` (which needs no credit) can
-        //    still surface once the last chunk drains.
-        if pending.is_none() {
-            match gs.next_timeout(POLL_STEP) {
-                Some(StreamItem::Chunk {
-                    slice,
-                    cursor,
-                    hits,
-                }) => {
-                    let seen = delivered.get(&slice).copied().unwrap_or(0);
-                    // A chunk the resume token already covers is
-                    // folded upstream but not re-sent — and spends no
-                    // client credit.
-                    if cursor > seen {
-                        pending = Some((slice, cursor, hits));
+        let _guard = self.life.enter();
+        let (tx, rx) = mpsc::channel();
+        let gw = self.gateway.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(gw.send(&q.req));
+        });
+        let result = loop {
+            match rx.recv_timeout(POLL_STEP) {
+                Ok(r) => break r,
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    break Err(RemoteError::Unavailable);
+                }
+                Err(mpsc::RecvTimeoutError::Timeout) => {
+                    if peer_gone(stream) {
+                        // Stop waiting; shard-side attempts notice the
+                        // gateway hang-ups and cancel their own jobs.
+                        self.cancelled.record(CancelReason::ClientDrop);
+                        swsimd_obs::event!("net_client_drop", "id" => id, "at" => "gateway");
+                        return false;
+                    }
+                    if self.life.stopping() {
+                        self.cancelled.record(CancelReason::Shutdown);
+                        let err = RemoteError::Serve(swsimd_runner::ServeError::ShutDown);
+                        return write_msg(stream, &Msg::Error { id, err }).is_ok();
                     }
                 }
-                Some(StreamItem::Fin(result)) => {
-                    let fin = match result {
-                        Ok(resp) => Msg::Fin {
-                            id,
-                            digest: ranking_digest(&resp.hits),
-                            degraded: resp.degraded,
-                            missing_shards: resp.missing_shards,
-                            trace_id: resp.trace_id,
-                            fidelity: resp.fidelity,
-                        },
-                        Err(err) => Msg::Error { id, err },
-                    };
-                    return write_msg(stream, &fin).is_ok();
-                }
-                None => {}
             }
-        }
-        // 4. Deliver the held chunk once credit allows.
-        if let Some((slice, cursor, hits)) = pending.take() {
-            if client_credit > 0 {
-                let chunk = Msg::StreamChunk {
-                    id,
-                    shard: slice,
-                    cursor,
-                    hits,
-                };
-                if write_msg(stream, &chunk).is_err() {
-                    shared.cancelled.record(CancelReason::ClientDrop);
-                    abandon(AbandonReason::ClientDrop);
-                    return false;
-                }
-                shared.stream.chunks.inc();
-                client_credit -= 1;
-                delivered.insert(slice, cursor);
-                last_write = Instant::now();
-            } else {
-                if !stall_counted {
-                    shared.stream.credit_stalls.inc();
-                    stall_counted = true;
-                }
-                pending = Some((slice, cursor, hits));
-                std::thread::sleep(POLL_STEP);
-            }
-        }
-        // 5. Heartbeat: prove liveness (and carry cost accounting)
-        //    whenever no chunk went out recently.
-        if last_write.elapsed() >= STREAM_HEARTBEAT {
-            let (cells_done, cells_total) = gs.progress();
-            let beat = Msg::Progress {
+        };
+        let reply = match result {
+            Ok(resp) => Msg::Hits {
                 id,
-                cells_done,
-                cells_total,
+                degraded: resp.degraded,
+                missing_shards: resp.missing_shards,
+                hits: resp.hits,
+                // Hand the trace id back so the client can pull this
+                // request's flight record with `swsimd trace <id>`.
+                trace_id: resp.trace_id,
+                timing: None,
+                fidelity: resp.fidelity,
+            },
+            Err(err) => Msg::Error { id, err },
+        };
+        write_msg(stream, &reply).is_ok()
+    }
+
+    fn stream(self: &Arc<Self>, stream: &mut TcpStream, q: Inbound, credit: u32, _: u64) -> bool {
+        self.serve_stream(stream, q, credit, HashMap::new())
+    }
+
+    fn resume(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        q: Inbound,
+        credit: u32,
+        token: StreamToken,
+    ) -> bool {
+        if token.query_crc != crc32(&q.req.query) {
+            // The token binds the query by hash; these bytes are not
+            // the query it claims to continue.
+            let refusal = Msg::Error {
+                id: q.id,
+                err: RemoteError::BadResumeToken,
             };
-            if write_msg(stream, &beat).is_err() {
-                shared.cancelled.record(CancelReason::ClientDrop);
+            return write_msg(stream, &refusal).is_ok();
+        }
+        self.stream.resumes.inc();
+        swsimd_obs::event!(
+            "stream_resume",
+            "id" => q.id,
+            "trace_id" => token.trace_id,
+            "slices" => token.cursors.len()
+        );
+        self.serve_stream(stream, q, credit, token.cursors.iter().copied().collect())
+    }
+}
+
+impl FrontShared {
+    /// Serve one streaming query (fresh or resumed) on `stream`.
+    /// `delivered` holds the per-slice cursors already delivered to
+    /// *this client* (from a resume token); chunks at or below them are
+    /// folded into the final digest but not re-sent.
+    fn serve_stream(
+        &self,
+        stream: &mut TcpStream,
+        q: Inbound,
+        credit: u32,
+        mut delivered: HashMap<u32, u64>,
+    ) -> bool {
+        let id = q.id;
+        if self.life.draining() {
+            return write_msg(
+                stream,
+                &Msg::Error {
+                    id,
+                    err: RemoteError::Draining,
+                },
+            )
+            .is_ok();
+        }
+        let _guard = self.life.enter();
+        // The gateway always re-pulls every slice from cursor 0 — a
+        // resume replays cheap durable journal state — so the final merge
+        // and Fin digest always cover the whole ranking; `delivered`
+        // only gates what is re-sent.
+        let mut gs = match self.gateway.stream(&q.req, credit) {
+            Ok(gs) => gs,
+            Err(err) => return write_msg(stream, &Msg::Error { id, err }).is_ok(),
+        };
+        let mut client_credit = credit;
+        let mut stall_counted = false;
+        let mut last_write = Instant::now();
+        let mut pending: Option<(u32, u64, Vec<Hit>)> = None;
+        let abandon = |reason: AbandonReason| {
+            self.stream.abandon(reason);
+            swsimd_obs::event!(
+                "stream_abandoned",
+                "id" => id,
+                "at" => "gateway",
+                "reason" => reason.as_str()
+            );
+        };
+        loop {
+            // 1. Absorb client frames: only Credit grants are legal
+            //    mid-stream.
+            while frame_ready(stream) {
+                match read_msg(stream) {
+                    Ok(Msg::Credit { id: cid, credits }) if cid == id => {
+                        client_credit = client_credit.saturating_add(credits);
+                        stall_counted = false;
+                    }
+                    _ => {
+                        abandon(AbandonReason::Error);
+                        return false;
+                    }
+                }
+            }
+            // 2. Liveness and shutdown.
+            if peer_gone(stream) {
+                self.cancelled.record(CancelReason::ClientDrop);
                 abandon(AbandonReason::ClientDrop);
                 return false;
             }
-            last_write = Instant::now();
-        }
-    }
-}
-
-/// Nonblocking "is a frame waiting" probe.
-fn frame_ready(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return false;
-    }
-    let mut probe = [0u8; 1];
-    let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-    let _ = stream.set_nonblocking(false);
-    ready
-}
-
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn enter(c: &'a AtomicUsize) -> Self {
-        c.fetch_add(1, Ordering::AcqRel);
-        InFlight(c)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Run the scatter-gather on a worker thread while this connection
-/// thread watches for client disconnect; `None` means the client went
-/// away and the connection should close without a reply.
-#[allow(clippy::too_many_arguments)] // wire fields arrive together
-fn handle_query(
-    shared: &Arc<FrontShared>,
-    stream: &TcpStream,
-    id: u64,
-    top_k: u32,
-    deadline_ms: u32,
-    query: Vec<u8>,
-    trace: TraceCtx,
-    tenant: String,
-) -> Option<Msg> {
-    if shared.draining.load(Ordering::Acquire) {
-        return Some(Msg::Error {
-            id,
-            err: RemoteError::Draining,
-        });
-    }
-    let _guard = InFlight::enter(&shared.in_flight);
-    let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-    let (tx, rx) = mpsc::channel();
-    let gw = shared.gateway.clone();
-    std::thread::spawn(move || {
-        let _ = tx.send(gw.query_traced_for(&tenant, &query, top_k as usize, deadline, trace));
-    });
-    let result = loop {
-        match rx.recv_timeout(POLL_STEP) {
-            Ok(r) => break r,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break Err(RemoteError::Unavailable);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if peer_gone(stream) {
-                    // Stop waiting; shard-side attempts notice the
-                    // gateway hang-ups and cancel their own jobs.
-                    shared.cancelled.record(CancelReason::ClientDrop);
-                    swsimd_obs::event!("net_client_drop", "id" => id, "at" => "gateway");
-                    return None;
-                }
-                if shared.stopping.load(Ordering::Acquire) {
-                    shared.cancelled.record(CancelReason::Shutdown);
-                    return Some(Msg::Error {
+            if self.life.stopping() {
+                self.cancelled.record(CancelReason::Shutdown);
+                abandon(AbandonReason::Shutdown);
+                let _ = write_msg(
+                    stream,
+                    &Msg::Error {
                         id,
                         err: RemoteError::Serve(swsimd_runner::ServeError::ShutDown),
-                    });
+                    },
+                );
+                return false;
+            }
+            // 3. Pull the next merge item unless one is already waiting
+            //    on client credit. Holding at most one chunk here keeps
+            //    the rest in the gateway's bounded buffer, so
+            //    backpressure reaches the shards through their own
+            //    credit windows — and `Fin` (which needs no credit) can
+            //    still surface once the last chunk drains.
+            if pending.is_none() {
+                match gs.next_timeout(POLL_STEP) {
+                    Some(StreamItem::Chunk {
+                        slice,
+                        cursor,
+                        hits,
+                    }) => {
+                        let seen = delivered.get(&slice).copied().unwrap_or(0);
+                        // A chunk the resume token already covers is
+                        // folded upstream but not re-sent — and spends no
+                        // client credit.
+                        if cursor > seen {
+                            pending = Some((slice, cursor, hits));
+                        }
+                    }
+                    Some(StreamItem::Fin(result)) => {
+                        let fin = match result {
+                            Ok(resp) => Msg::Fin {
+                                id,
+                                digest: ranking_digest(&resp.hits),
+                                degraded: resp.degraded,
+                                missing_shards: resp.missing_shards,
+                                trace_id: resp.trace_id,
+                                fidelity: resp.fidelity,
+                            },
+                            Err(err) => Msg::Error { id, err },
+                        };
+                        return write_msg(stream, &fin).is_ok();
+                    }
+                    None => {}
                 }
             }
+            // 4. Deliver the held chunk once credit allows.
+            if let Some((slice, cursor, hits)) = pending.take() {
+                if client_credit > 0 {
+                    let chunk = Msg::StreamChunk {
+                        id,
+                        shard: slice,
+                        cursor,
+                        hits,
+                    };
+                    if write_msg(stream, &chunk).is_err() {
+                        self.cancelled.record(CancelReason::ClientDrop);
+                        abandon(AbandonReason::ClientDrop);
+                        return false;
+                    }
+                    self.stream.chunks.inc();
+                    client_credit -= 1;
+                    delivered.insert(slice, cursor);
+                    last_write = Instant::now();
+                } else {
+                    if !stall_counted {
+                        self.stream.credit_stalls.inc();
+                        stall_counted = true;
+                    }
+                    pending = Some((slice, cursor, hits));
+                    std::thread::sleep(POLL_STEP);
+                }
+            }
+            // 5. Heartbeat: prove liveness (and carry cost accounting)
+            //    whenever no chunk went out recently.
+            if last_write.elapsed() >= STREAM_HEARTBEAT {
+                let (cells_done, cells_total) = gs.progress();
+                let beat = Msg::Progress {
+                    id,
+                    cells_done,
+                    cells_total,
+                };
+                if write_msg(stream, &beat).is_err() {
+                    self.cancelled.record(CancelReason::ClientDrop);
+                    abandon(AbandonReason::ClientDrop);
+                    return false;
+                }
+                last_write = Instant::now();
+            }
         }
-    };
-    Some(match result {
-        Ok(resp) => Msg::Hits {
-            id,
-            degraded: resp.degraded,
-            missing_shards: resp.missing_shards,
-            hits: resp.hits,
-            // Hand the trace id back so the client can pull this
-            // request's flight record with `swsimd trace <id>`.
-            trace_id: resp.trace_id,
-            timing: None,
-            fidelity: resp.fidelity,
-        },
-        Err(err) => Msg::Error { id, err },
-    })
+    }
 }

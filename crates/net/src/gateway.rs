@@ -42,15 +42,16 @@ use std::time::{Duration, Instant};
 
 use swsimd_core::Hit;
 use swsimd_obs::flight::{AuditRecord, ShardTiming, Stage, StageTiming};
-use swsimd_obs::trace::TraceCtx;
+use swsimd_obs::trace::{AdoptGuard, Span, TraceCtx};
 use swsimd_runner::{
-    rank_hits, tenant_label, FaultPlan, Fidelity, RateConfig, ServeError, TokenBucket,
+    rank_hits, tenant_label, FaultPlan, Fidelity, RateConfig, Request, ServeError, TokenBucket,
 };
 
 use crate::backoff::RetryPolicy;
 use crate::breaker::{BreakerState, ShardBreaker};
+use crate::conn::lock_ok;
 use crate::metrics::{GatewayMetrics, ReplicaMetrics, StreamMetrics, TenantEdgeMetrics};
-use crate::wire::{ranking_digest, read_msg, write_msg, Msg, RemoteError, WireError};
+use crate::wire::{budget_ms, ranking_digest, read_msg, write_msg, Msg, RemoteError, WireError};
 
 /// Per-tenant admission controls enforced at the gateway edge, before
 /// any shard sees a frame. The cost unit here is *query bytes* (the
@@ -199,12 +200,10 @@ pub struct Gateway {
     inner: Arc<GatewayInner>,
 }
 
-/// How one attempt against one replica ended.
-enum Attempt {
-    /// Hits plus the shard's timing summary (when the peer sent one;
-    /// `rtt_ns` is filled gateway-side by the attempt thread) and the
-    /// fidelity the shard served at.
-    Ok(Vec<Hit>, Option<ShardTiming>, Fidelity),
+/// How one attempt against one replica ended; `T` is what a success
+/// carries.
+enum Attempt<T> {
+    Ok(T),
     /// Retrying another replica (or the same one later) may help; an
     /// overloaded shard attaches its `retry_after_ms` backoff hint.
     Retryable(Option<u64>),
@@ -217,13 +216,18 @@ enum Attempt {
     Fatal(RemoteError),
 }
 
-/// How one shard group ended.
-enum GroupOutcome {
-    Ok(Vec<Hit>, Option<ShardTiming>, Fidelity),
+/// How one slice ended, after retries.
+enum Slice<T> {
+    Ok(T),
     /// Budget exhausted or no replica available: degrade.
     Missing,
     Fatal(RemoteError),
 }
+
+/// One slice's unary answer: its hits, the shard's timing summary when
+/// the peer sent one (`rtt_ns` is filled gateway-side by the attempt
+/// thread), and the fidelity the shard served at.
+type Answer = (Vec<Hit>, Option<ShardTiming>, Fidelity);
 
 /// Per-query bookkeeping shared by the scatter threads, feeding the
 /// request's flight-recorder audit record.
@@ -231,6 +235,20 @@ enum GroupOutcome {
 struct QueryFlight {
     retries: AtomicU32,
     hedges: AtomicU32,
+}
+
+/// One scatter-gather request as every slice thread sees it.
+struct Scatter {
+    /// Wire id of every shard frame the request sends.
+    id: u64,
+    /// The caller's request, its trace context replaced by the
+    /// gateway span's so shard span trees parent under it.
+    req: Request,
+    flight: QueryFlight,
+}
+
+fn deadline_exceeded() -> RemoteError {
+    RemoteError::Serve(ServeError::DeadlineExceeded)
 }
 
 impl Gateway {
@@ -280,92 +298,38 @@ impl Gateway {
             .collect()
     }
 
-    /// Scatter an encoded query to every shard group and gather the
-    /// merged ranking. `deadline` bounds the whole operation.
-    pub fn query(
-        &self,
-        query: &[u8],
-        top_k: usize,
-        deadline: Option<Duration>,
-    ) -> Result<GatewayResponse, RemoteError> {
-        self.query_traced(query, top_k, deadline, TraceCtx::default())
-    }
-
-    /// [`Gateway::query`] billed to `tenant` (empty = the default
-    /// tenant). The tenant's gateway-edge concurrency cap and token
-    /// bucket are enforced before any shard is contacted, and the
-    /// tenant rides every shard frame so shard-side fair-share
-    /// scheduling sees the same identity.
-    pub fn query_for(
-        &self,
-        tenant: &str,
-        query: &[u8],
-        top_k: usize,
-        deadline: Option<Duration>,
-    ) -> Result<GatewayResponse, RemoteError> {
-        self.query_traced_for(tenant, query, top_k, deadline, TraceCtx::default())
-    }
-
-    /// [`Gateway::query`] under a client-supplied trace context. The
-    /// request gets one trace id (the client's, or freshly minted), a
-    /// `gateway_request` root span, and the same context rides every
-    /// shard frame — so shard-side span trees parent under this span
-    /// and the whole request stitches into one distributed tree. The
-    /// completed request is filed in the process-global flight
-    /// recorder with its stage breakdown (admission → dispatch →
-    /// net_rtt → merge partition the gateway's wall time by
+    /// Scatter `req` to every shard group and gather the merged
+    /// ranking. `req.deadline` bounds the whole operation.
+    ///
+    /// The request bills to `req.tenant` (empty = the default tenant):
+    /// the tenant's gateway-edge concurrency cap and token bucket are
+    /// enforced before any shard is contacted, and the tenant rides
+    /// every shard frame so shard-side fair-share scheduling sees the
+    /// same identity.
+    ///
+    /// The request gets one trace id (`req.trace`'s, or freshly
+    /// minted), a `gateway_request` root span, and the same context
+    /// rides every shard frame — so shard-side span trees parent under
+    /// this span and the whole request stitches into one distributed
+    /// tree. The completed request is filed in the process-global
+    /// flight recorder with its stage breakdown (admission → dispatch
+    /// → net_rtt → merge partition the gateway's wall time by
     /// construction) plus the per-shard timing summaries that came
     /// back on the replies.
-    pub fn query_traced(
-        &self,
-        query: &[u8],
-        top_k: usize,
-        deadline: Option<Duration>,
-        client: TraceCtx,
-    ) -> Result<GatewayResponse, RemoteError> {
-        self.query_traced_for("", query, top_k, deadline, client)
-    }
-
-    /// [`Gateway::query_traced`] billed to `tenant` — see
-    /// [`Gateway::query_for`] for the admission rules.
-    pub fn query_traced_for(
-        &self,
-        tenant: &str,
-        query: &[u8],
-        top_k: usize,
-        deadline: Option<Duration>,
-        client: TraceCtx,
-    ) -> Result<GatewayResponse, RemoteError> {
+    pub fn send(&self, req: &Request) -> Result<GatewayResponse, RemoteError> {
         let inner = &self.inner;
         inner.metrics.requests.inc();
         let t0 = Instant::now();
 
-        let _inflight = edge_admit(inner, tenant, query.len() as u64)?;
-        // One trace id for the whole distributed request.
-        let trace_id = if client.is_traced() {
-            client.trace_id
-        } else {
-            swsimd_obs::mint_id()
-        };
-        let _adopt = swsimd_obs::adopt(TraceCtx {
-            trace_id,
-            span_id: client.span_id,
-        });
-        let mut span = swsimd_obs::span!("gateway_request", "shards" => inner.groups.len());
+        let _inflight = edge_admit(inner, &req.tenant, req.query.len() as u64)?;
+        let (_adopt, mut span, ctx) = open_trace(req.trace, "gateway_request", inner.groups.len());
+        let trace_id = ctx.trace_id;
         let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let ctx = TraceCtx {
-            trace_id,
-            span_id: if span.id() != 0 {
-                span.id()
-            } else {
-                client.span_id
-            },
-        };
         if inner.groups.is_empty() {
             record_gateway_flight(&FlightInput {
                 trace_id,
                 id,
-                query_len: query.len(),
+                query_len: req.query.len(),
                 t0,
                 marks: vec![(Stage::Admission, t0.elapsed())],
                 shards: Vec::new(),
@@ -373,34 +337,27 @@ impl Gateway {
                 degraded: false,
                 ok: false,
                 cancel: "unavailable",
-                tenant,
+                tenant: &req.tenant,
             });
             return Err(RemoteError::Unavailable);
         }
-        let deadline_at = deadline.map(|d| Instant::now() + d);
-        let flight = Arc::new(QueryFlight::default());
+        let scatter = Arc::new(Scatter {
+            id,
+            req: Request {
+                trace: ctx,
+                ..req.clone()
+            },
+            flight: QueryFlight::default(),
+        });
         let admitted = Instant::now();
 
         let (tx, rx) = mpsc::channel();
         for slice in 0..inner.groups.len() {
             let tx = tx.clone();
-            let this = self.clone();
-            let query = query.to_vec();
-            let tenant = tenant.to_string();
-            let flight = Arc::clone(&flight);
+            let inner = Arc::clone(&self.inner);
+            let scatter = Arc::clone(&scatter);
             std::thread::spawn(move || {
-                let outcome = query_group(
-                    &this.inner,
-                    slice,
-                    id,
-                    &tenant,
-                    &query,
-                    top_k,
-                    deadline_at,
-                    ctx,
-                    &flight,
-                );
-                let _ = tx.send((slice, outcome));
+                let _ = tx.send((slice, query_group(&inner, slice, &scatter)));
             });
         }
         drop(tx);
@@ -413,15 +370,15 @@ impl Gateway {
         let mut fidelity = Fidelity::Full;
         for (slice, outcome) in rx {
             match outcome {
-                GroupOutcome::Ok(hits, timing, f) => {
+                Slice::Ok((hits, timing, f)) => {
                     all_hits.extend(hits);
                     timings.extend(timing);
                     // Conservative merge: the response is only as
                     // faithful as its least-faithful contributor.
                     fidelity = fidelity.max(f);
                 }
-                GroupOutcome::Missing => missing.push(slice as u32),
-                GroupOutcome::Fatal(e) => fatal = Some(e),
+                Slice::Missing => missing.push(slice as u32),
+                Slice::Fatal(e) => fatal = Some(e),
             }
         }
         let gathered = Instant::now();
@@ -437,37 +394,26 @@ impl Gateway {
             }
             m
         };
+        let flight = |marks, shards, degraded, cancel: &'static str| FlightInput {
+            trace_id,
+            id,
+            query_len: req.query.len(),
+            t0,
+            marks,
+            shards,
+            flight: &scatter.flight,
+            degraded,
+            ok: cancel.is_empty(),
+            cancel,
+            tenant: &req.tenant,
+        };
 
         if let Some(e) = fatal {
-            record_gateway_flight(&FlightInput {
-                trace_id,
-                id,
-                query_len: query.len(),
-                t0,
-                marks: marks(None),
-                shards: timings,
-                flight: &flight,
-                degraded: false,
-                ok: false,
-                cancel: cancel_label(&e),
-                tenant,
-            });
+            record_gateway_flight(&flight(marks(None), timings, false, cancel_label(&e)));
             return Err(e);
         }
         if missing.len() == inner.groups.len() {
-            record_gateway_flight(&FlightInput {
-                trace_id,
-                id,
-                query_len: query.len(),
-                t0,
-                marks: marks(None),
-                shards: timings,
-                flight: &flight,
-                degraded: true,
-                ok: false,
-                cancel: "unavailable",
-                tenant,
-            });
+            record_gateway_flight(&flight(marks(None), timings, true, "unavailable"));
             return Err(RemoteError::Unavailable);
         }
         missing.sort_unstable();
@@ -475,7 +421,7 @@ impl Gateway {
         if degraded {
             inner.metrics.degraded.inc();
         }
-        let hits = rank_hits(all_hits, top_k);
+        let hits = rank_hits(all_hits, req.top_k);
         let merged = Instant::now();
         inner
             .metrics
@@ -483,19 +429,7 @@ impl Gateway {
             .record_duration(merged.duration_since(t0));
         span.record("hits", hits.len() as u64);
         span.record("degraded", degraded);
-        record_gateway_flight(&FlightInput {
-            trace_id,
-            id,
-            query_len: query.len(),
-            t0,
-            marks: marks(Some(merged)),
-            shards: timings,
-            flight: &flight,
-            degraded,
-            ok: true,
-            cancel: "",
-            tenant,
-        });
+        record_gateway_flight(&flight(marks(Some(merged)), timings, degraded, ""));
         Ok(GatewayResponse {
             hits,
             degraded,
@@ -505,30 +439,27 @@ impl Gateway {
         })
     }
 
-    /// Streamed [`Gateway::query`]: chunks of ranked hits arrive
-    /// incrementally as shards clear their checkpoint boundaries. See
-    /// [`Gateway::stream_query_traced_for`].
-    pub fn stream_query(
+    /// [`Gateway::send`] for an untraced default-tenant request;
+    /// `deadline` bounds the whole operation.
+    pub fn query(
         &self,
         query: &[u8],
         top_k: usize,
         deadline: Option<Duration>,
-        client_credit: u32,
-    ) -> Result<GatewayStream, RemoteError> {
-        self.stream_query_traced_for(
-            "",
-            query,
-            top_k,
-            deadline,
-            TraceCtx::default(),
-            client_credit,
-        )
+    ) -> Result<GatewayResponse, RemoteError> {
+        self.send(&Request {
+            deadline: deadline.map(|d| Instant::now() + d),
+            ..Request::new(query.to_vec(), top_k)
+        })
     }
 
-    /// Open a streaming scatter-gather query. One reader thread per
-    /// slice holds a [`Msg::StreamQuery`] conversation with a replica
-    /// (breaker-aware pick, bounded retries with the shared backoff
-    /// schedule), relaying chunks into a bounded buffer of at most
+    /// Open a streaming scatter-gather query, admitted, billed and
+    /// traced like [`Gateway::send`] (root span `gateway_stream`).
+    /// Chunks of ranked hits arrive incrementally as shards clear
+    /// their checkpoint boundaries. One reader thread per slice holds a
+    /// [`Msg::StreamQuery`] conversation with a replica (breaker-aware
+    /// pick, bounded retries with the shared backoff schedule),
+    /// relaying chunks into a bounded buffer of at most
     /// `client_credit` chunks — the gateway never holds more than
     /// `credit × chunk` bytes per client; backpressure propagates to
     /// the shards through their own credit windows. A replica that
@@ -544,41 +475,23 @@ impl Gateway {
     /// [`GatewayResponse`] the one-shot path would have produced (the
     /// gateway folds every chunk incrementally, so the final ranking
     /// is byte-identical to an unsharded search).
-    pub fn stream_query_traced_for(
-        &self,
-        tenant: &str,
-        query: &[u8],
-        top_k: usize,
-        deadline: Option<Duration>,
-        client: TraceCtx,
-        client_credit: u32,
-    ) -> Result<GatewayStream, RemoteError> {
+    pub fn stream(&self, req: &Request, client_credit: u32) -> Result<GatewayStream, RemoteError> {
         let inner = &self.inner;
         inner.metrics.requests.inc();
-        let guard = edge_admit(inner, tenant, query.len() as u64)?;
+        let guard = edge_admit(inner, &req.tenant, req.query.len() as u64)?;
         if inner.groups.is_empty() {
             return Err(RemoteError::Unavailable);
         }
-        let trace_id = if client.is_traced() {
-            client.trace_id
-        } else {
-            swsimd_obs::mint_id()
-        };
-        let _adopt = swsimd_obs::adopt(TraceCtx {
-            trace_id,
-            span_id: client.span_id,
-        });
-        let span = swsimd_obs::span!("gateway_stream", "shards" => inner.groups.len());
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let ctx = TraceCtx {
-            trace_id,
-            span_id: if span.id() != 0 {
-                span.id()
-            } else {
-                client.span_id
+        let (_adopt, _span, ctx) = open_trace(req.trace, "gateway_stream", inner.groups.len());
+        let trace_id = ctx.trace_id;
+        let scatter = Arc::new(Scatter {
+            id: inner.next_id.fetch_add(1, Ordering::Relaxed),
+            req: Request {
+                trace: ctx,
+                ..req.clone()
             },
-        };
-        let deadline_at = deadline.map(|d| Instant::now() + d);
+            flight: QueryFlight::default(),
+        });
         // The client's credit window sizes the only gateway-side chunk
         // buffer; a zero or absurd window is clamped, not trusted.
         let bound = (client_credit.max(1) as usize).min(MAX_BUFFERED_CHUNKS);
@@ -586,31 +499,20 @@ impl Gateway {
         let progress = Arc::new(StreamProgress::new(inner.groups.len()));
         let (end_tx, end_rx) = mpsc::channel();
         for slice in 0..inner.groups.len() {
-            let this = self.clone();
-            let query = query.to_vec();
-            let tenant = tenant.to_string();
+            let inner = Arc::clone(&self.inner);
+            let scatter = Arc::clone(&scatter);
             let tx = tx.clone();
             let end_tx = end_tx.clone();
             let progress = Arc::clone(&progress);
             std::thread::spawn(move || {
-                let end = stream_group(
-                    &this.inner,
-                    slice,
-                    id,
-                    &tenant,
-                    &query,
-                    top_k,
-                    deadline_at,
-                    ctx,
-                    &tx,
-                    &progress,
-                );
+                let end = stream_group(&inner, slice, &scatter, &tx, &progress);
                 let _ = end_tx.send((slice, end));
             });
         }
         drop(end_tx);
         let this = self.clone();
         let slices = inner.groups.len();
+        let top_k = req.top_k;
         std::thread::spawn(move || {
             // Holds the tenant's in-flight slot for the stream's whole
             // lifetime, not just the setup call.
@@ -623,13 +525,13 @@ impl Gateway {
             let mut abandoned = false;
             for (slice, end) in end_rx {
                 match end {
-                    StreamGroupEnd::Ok(hits, f) => {
+                    Slice::Ok(Some((hits, f))) => {
                         merged.extend(hits);
                         fidelity = fidelity.max(f);
                     }
-                    StreamGroupEnd::Missing => missing.push(slice as u32),
-                    StreamGroupEnd::Fatal(e) => fatal = Some(e),
-                    StreamGroupEnd::Abandoned => abandoned = true,
+                    Slice::Ok(None) => abandoned = true,
+                    Slice::Missing => missing.push(slice as u32),
+                    Slice::Fatal(e) => fatal = Some(e),
                 }
             }
             if abandoned {
@@ -766,10 +668,6 @@ impl Drop for ProberHandle {
     }
 }
 
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Edge admission shared by the one-shot and streaming paths: token
 /// bucket first (cheapest to explain to the caller), then the
 /// concurrency cap. Both reject with a typed error carrying a backoff
@@ -811,7 +709,7 @@ fn edge_admit(inner: &GatewayInner, tenant: &str, cost: u64) -> Result<InflightG
 }
 
 /// Everything one gateway audit record needs, gathered at an exit
-/// point of [`Gateway::query_traced`].
+/// point of [`Gateway::send`].
 struct FlightInput<'a> {
     trace_id: u64,
     id: u64,
@@ -935,57 +833,71 @@ fn resolve(addr: &str) -> std::io::Result<SocketAddr> {
         .ok_or_else(|| std::io::Error::other("address resolved to nothing"))
 }
 
-/// Remaining milliseconds until `deadline_at` for the wire (0 = no
-/// deadline); `None` when already expired.
-fn budget_ms(deadline_at: Option<Instant>) -> Option<u32> {
-    match deadline_at {
-        None => Some(0),
-        Some(d) => {
-            let left = d.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                None
-            } else {
-                Some(left.as_millis().min(u64::from(u32::MAX) as u128) as u32)
-            }
-        }
-    }
+/// Adopt the caller's trace context (minting a trace id when the
+/// caller sent none) and open the gateway's root span; returns the
+/// context every shard frame carries.
+fn open_trace(
+    client: TraceCtx,
+    span_name: &'static str,
+    shards: usize,
+) -> (AdoptGuard, Span, TraceCtx) {
+    let trace_id = if client.is_traced() {
+        client.trace_id
+    } else {
+        swsimd_obs::mint_id()
+    };
+    let adopt = swsimd_obs::adopt(TraceCtx {
+        trace_id,
+        span_id: client.span_id,
+    });
+    let span = swsimd_obs::span!(span_name, "shards" => shards);
+    let ctx = TraceCtx {
+        trace_id,
+        span_id: if span.id() != 0 {
+            span.id()
+        } else {
+            client.span_id
+        },
+    };
+    (adopt, span, ctx)
 }
 
-/// Run one shard group to completion: retries, breaker bookkeeping,
-/// and hedging happen here.
-#[allow(clippy::too_many_arguments)] // group context travels together
-fn query_group(
-    inner: &Arc<GatewayInner>,
+/// Run one slice to a verdict — the loop the unary and streaming paths
+/// share: the retry budget, backoff honouring the last overload hint,
+/// the deadline checks, and breaker-aware replica picks. `attempt(n,
+/// available)` runs attempt `n` against the replicas whose breakers
+/// currently admit traffic.
+fn run_slice<T>(
+    inner: &GatewayInner,
     slice: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    flight: &QueryFlight,
-) -> GroupOutcome {
-    let group = &inner.groups[slice];
-    let mut attempt = 0u32;
+    scatter: &Scatter,
+    mut attempt: impl FnMut(u32, &[usize]) -> Attempt<T>,
+) -> Slice<T> {
+    let deadline = scatter.req.deadline;
+    let mut n = 0u32;
     // Backoff hint from the previous attempt's overload rejection, if
     // any; it overrides the exponential schedule for the next sleep.
     let mut hint_ms: Option<u64> = None;
     loop {
-        if !inner.cfg.retry.allows(attempt) {
-            return GroupOutcome::Missing;
+        // An expired deadline is fatal whichever side notices it first.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return Slice::Fatal(deadline_exceeded());
         }
-        if attempt > 0 {
+        if !inner.cfg.retry.allows(n) {
+            return Slice::Missing;
+        }
+        if n > 0 {
             inner.metrics.retries.inc();
-            flight.retries.fetch_add(1, Ordering::Relaxed);
-            let delay = inner.cfg.retry.delay_with_hint(attempt, hint_ms);
-            if let Some(d) = deadline_at {
-                if Instant::now() + delay >= d {
-                    return GroupOutcome::Missing;
-                }
+            scatter.flight.retries.fetch_add(1, Ordering::Relaxed);
+            let delay = inner.cfg.retry.delay_with_hint(n, hint_ms);
+            // A backoff that would overshoot a still-live deadline
+            // gives up on this slice, not on the whole query.
+            if deadline.is_some_and(|d| Instant::now() + delay >= d) {
+                return Slice::Missing;
             }
             std::thread::sleep(delay);
         }
-        let available: Vec<usize> = group
+        let available: Vec<usize> = inner.groups[slice]
             .iter()
             .copied()
             .filter(|&ord| lock_ok(&inner.replicas[ord].breaker).is_available())
@@ -993,38 +905,61 @@ fn query_group(
         if available.is_empty() {
             // Breaker open on every replica: degrade now; the prober
             // re-admits recovered shards out of band.
-            return GroupOutcome::Missing;
+            return Slice::Missing;
         }
-        let primary = available[attempt as usize % available.len()];
-        let hedge = (available.len() > 1 && inner.cfg.hedge_after.is_some())
-            .then(|| available[(attempt as usize + 1) % available.len()]);
-
-        match attempt_with_hedge(
-            inner,
-            primary,
-            hedge,
-            id,
-            tenant,
-            query,
-            top_k,
-            deadline_at,
-            ctx,
-            flight,
-        ) {
-            Attempt::Ok(hits, timing, fidelity) => return GroupOutcome::Ok(hits, timing, fidelity),
-            Attempt::Fatal(e) => return GroupOutcome::Fatal(e),
-            Attempt::Retryable(hint) => {
-                hint_ms = hint;
-                attempt += 1;
-            }
-            // Draining folds into Retryable before reaching here; the
-            // next pass simply skips the force-opened replica.
-            Attempt::Draining => {
-                hint_ms = None;
-                attempt += 1;
-            }
+        match attempt(n, &available) {
+            Attempt::Ok(v) => return Slice::Ok(v),
+            Attempt::Fatal(e) => return Slice::Fatal(e),
+            Attempt::Retryable(hint) => hint_ms = hint,
+            // The drained replica's breaker is force-open, so the next
+            // pass picks a live sibling.
+            Attempt::Draining => hint_ms = None,
         }
+        n += 1;
     }
+}
+
+/// Breaker and metric bookkeeping for one finished attempt against
+/// `ordinal`, shared by the unary and streaming paths. A success counts
+/// toward health; an announced drain stops routing to the replica right
+/// now rather than strike-by-strike; a retryable failure is a strike.
+/// Fatal outcomes are the *query's* fault, not the replica's — no
+/// strike.
+fn settle<T>(inner: &GatewayInner, ordinal: usize, outcome: &Attempt<T>) {
+    let replica = &inner.replicas[ordinal];
+    let (opened, event) = match outcome {
+        Attempt::Ok(_) => {
+            lock_ok(&replica.breaker).record_success();
+            return;
+        }
+        Attempt::Fatal(_) => return,
+        Attempt::Draining => {
+            inner.metrics.draining_replies.inc();
+            let opened = lock_ok(&replica.breaker).force_open();
+            (opened, "shard_draining_unrouted")
+        }
+        Attempt::Retryable(_) => {
+            let opened = lock_ok(&replica.breaker).record_failure();
+            (opened, "shard_breaker_open")
+        }
+    };
+    if opened {
+        replica.metrics.down_total.inc();
+        replica.metrics.up.set(0);
+        swsimd_obs::event!(event, "replica" => ordinal);
+    }
+}
+
+/// Run one shard group's unary query to completion, hedging each
+/// attempt onto a sibling replica when the group has one.
+fn query_group(inner: &Arc<GatewayInner>, slice: usize, scatter: &Arc<Scatter>) -> Slice<Answer> {
+    run_slice(inner, slice, scatter, |n, available| {
+        let n = n as usize;
+        let primary = available[n % available.len()];
+        let hedge = (available.len() > 1 && inner.cfg.hedge_after.is_some())
+            .then(|| available[(n + 1) % available.len()]);
+        attempt_with_hedge(inner, primary, hedge, scatter)
+    })
 }
 
 /// Per-shard credit window the gateway's slice readers extend: the
@@ -1185,76 +1120,25 @@ fn buffered_sub(metrics: &StreamMetrics, bytes: usize) {
     metrics.buffered_bytes.set(now);
 }
 
-/// How one slice's streaming conversation ended, after retries.
-enum StreamGroupEnd {
-    /// Every chunk delivered and folded; the slice's contribution to
-    /// the final merge plus the fidelity its shard served at.
-    Ok(Vec<Hit>, Fidelity),
-    /// Retry budget exhausted or no replica available: degrade.
-    Missing,
-    Fatal(RemoteError),
-    /// The client dropped the stream handle; stop without a verdict.
-    Abandoned,
-}
-
-/// How one streaming attempt against one replica ended.
-enum StreamAttemptEnd {
-    Done(Fidelity),
-    Retryable(Option<u64>),
-    Draining,
-    Fatal(RemoteError),
-    Abandoned,
-}
-
-/// Run one slice's stream to completion: breaker-aware replica picks,
-/// bounded retries, and mid-stream reconnects that resume from the
-/// last delivered cursor.
-#[allow(clippy::too_many_arguments)] // stream context travels together
+/// Run one slice's stream to completion: the shared slice loop, with
+/// mid-stream reconnects that resume from the last delivered cursor.
+/// `Ok(None)` means the client dropped the stream handle.
 fn stream_group(
-    inner: &Arc<GatewayInner>,
+    inner: &GatewayInner,
     slice: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
+    scatter: &Scatter,
     tx: &mpsc::SyncSender<StreamItem>,
     progress: &StreamProgress,
-) -> StreamGroupEnd {
-    let group = &inner.groups[slice];
-    let mut attempt = 0u32;
-    let mut hint_ms: Option<u64> = None;
+) -> Slice<Option<(Vec<Hit>, Fidelity)>> {
     // Highest cursor forwarded into the client buffer; reconnects ask
     // the next replica to skip everything at or below it.
     let mut delivered = 0u64;
     // Incremental fold of every chunk: per-chunk top-k capping
     // preserves the global top-k, so this stays bounded by `top_k`.
     let mut merged: Vec<Hit> = Vec::new();
-    loop {
-        if !inner.cfg.retry.allows(attempt) {
-            return StreamGroupEnd::Missing;
-        }
-        if attempt > 0 {
-            inner.metrics.retries.inc();
-            let delay = inner.cfg.retry.delay_with_hint(attempt, hint_ms);
-            if let Some(d) = deadline_at {
-                if Instant::now() + delay >= d {
-                    return StreamGroupEnd::Missing;
-                }
-            }
-            std::thread::sleep(delay);
-        }
-        let available: Vec<usize> = group
-            .iter()
-            .copied()
-            .filter(|&ord| lock_ok(&inner.replicas[ord].breaker).is_available())
-            .collect();
-        if available.is_empty() {
-            return StreamGroupEnd::Missing;
-        }
-        let ordinal = available[attempt as usize % available.len()];
-        if attempt > 0 && delivered > 0 {
+    let end = run_slice(inner, slice, scatter, |n, available| {
+        let ordinal = available[n as usize % available.len()];
+        if n > 0 && delivered > 0 {
             // This attempt continues a partially-delivered stream from
             // durable shard state rather than starting over.
             inner.stream.resumes.inc();
@@ -1269,82 +1153,48 @@ fn stream_group(
         let end = stream_attempt(
             inner,
             ordinal,
-            id,
-            tenant,
-            query,
-            top_k,
-            deadline_at,
-            ctx,
+            scatter,
             &mut delivered,
             &mut merged,
             tx,
             progress,
         );
         replica.metrics.inflight.dec();
-        match end {
-            StreamAttemptEnd::Done(fidelity) => {
-                lock_ok(&replica.breaker).record_success();
-                return StreamGroupEnd::Ok(merged, fidelity);
-            }
-            StreamAttemptEnd::Fatal(e) => return StreamGroupEnd::Fatal(e),
-            StreamAttemptEnd::Abandoned => return StreamGroupEnd::Abandoned,
-            StreamAttemptEnd::Draining => {
-                inner.metrics.draining_replies.inc();
-                let opened = lock_ok(&replica.breaker).force_open();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_draining_unrouted", "replica" => ordinal);
-                }
-                hint_ms = None;
-                attempt += 1;
-            }
-            StreamAttemptEnd::Retryable(hint) => {
-                let opened = lock_ok(&replica.breaker).record_failure();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_breaker_open", "replica" => ordinal);
-                }
-                hint_ms = hint;
-                attempt += 1;
-            }
+        // An abandoned stream says nothing about the replica.
+        if !matches!(end, Attempt::Ok(None)) {
+            settle(inner, ordinal, &end);
         }
+        end
+    });
+    match end {
+        Slice::Ok(done) => Slice::Ok(done.map(|fidelity| (merged, fidelity))),
+        Slice::Missing => Slice::Missing,
+        Slice::Fatal(e) => Slice::Fatal(e),
     }
 }
 
 /// One streaming conversation with one replica: relay chunks into the
 /// client buffer (deduplicated by cursor), grant the shard one credit
 /// per chunk consumed, track progress heartbeats, and fold every new
-/// chunk into the slice's running merge.
-#[allow(clippy::too_many_arguments)] // stream context travels together
+/// chunk into the slice's running merge. Succeeds with the fidelity
+/// the shard served at, or `None` when the client buffer is gone.
 fn stream_attempt(
     inner: &GatewayInner,
     ordinal: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
+    scatter: &Scatter,
     delivered: &mut u64,
     merged: &mut Vec<Hit>,
     tx: &mpsc::SyncSender<StreamItem>,
     progress: &StreamProgress,
-) -> StreamAttemptEnd {
+) -> Attempt<Option<Fidelity>> {
     let replica = &inner.replicas[ordinal];
     let slice = replica.slice;
-    let Some(deadline_ms) = budget_ms(deadline_at) else {
-        return StreamAttemptEnd::Fatal(RemoteError::Serve(ServeError::DeadlineExceeded));
+    let (id, req) = (scatter.id, &scatter.req);
+    let Some(deadline_ms) = budget_ms(req.deadline) else {
+        return Attempt::Fatal(deadline_exceeded());
     };
-    if inner.cfg.fault.before_connect(ordinal).is_err() {
-        return StreamAttemptEnd::Retryable(None);
-    }
-    let Ok(addr) = resolve(&replica.addr) else {
-        return StreamAttemptEnd::Retryable(None);
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout) else {
-        return StreamAttemptEnd::Retryable(None);
+    let Some(mut stream) = dial(inner, ordinal) else {
+        return Attempt::Retryable(None);
     };
     // The read timeout bounds *silence*, not the stream: the shard
     // proves liveness with sub-second Progress heartbeats, so a long
@@ -1352,25 +1202,25 @@ fn stream_attempt(
     crate::listen::apply_socket_opts(&stream, Some(inner.cfg.request_timeout), "gateway_stream");
     let msg = Msg::StreamQuery {
         id,
-        top_k: top_k as u32,
+        top_k: req.top_k as u32,
         deadline_ms,
         slice_index: slice,
         slice_count: inner.groups.len() as u32,
         credit: SHARD_CREDIT,
         cursor: *delivered,
-        query: query.to_vec(),
-        trace: ctx,
-        tenant: tenant.to_string(),
+        query: req.query.clone(),
+        trace: req.trace,
+        tenant: req.tenant.clone(),
     };
     if write_msg(&mut stream, &msg).is_err() {
-        return StreamAttemptEnd::Retryable(None);
+        return Attempt::Retryable(None);
     }
     loop {
         match read_msg(&mut stream) {
             Ok(Msg::StreamChunk { cursor, hits, .. }) => {
                 if cursor > *delivered {
                     merged.extend(hits.iter().cloned());
-                    *merged = rank_hits(std::mem::take(merged), top_k);
+                    *merged = rank_hits(std::mem::take(merged), req.top_k);
                     let bytes = chunk_bytes(&hits);
                     buffered_add(&inner.stream, bytes);
                     if tx
@@ -1385,7 +1235,7 @@ fn stream_attempt(
                         // delivered, so it no longer counts as
                         // buffered either.
                         buffered_sub(&inner.stream, bytes);
-                        return StreamAttemptEnd::Abandoned;
+                        return Attempt::Ok(None);
                     }
                     inner.stream.chunks.inc();
                     *delivered = cursor;
@@ -1393,7 +1243,7 @@ fn stream_attempt(
                 // Grant one credit per chunk consumed — a deduplicated
                 // replay still spent shard credit to arrive.
                 if write_msg(&mut stream, &Msg::Credit { id, credits: 1 }).is_err() {
-                    return StreamAttemptEnd::Retryable(None);
+                    return Attempt::Retryable(None);
                 }
             }
             Ok(Msg::Progress {
@@ -1416,23 +1266,12 @@ fn stream_attempt(
                         "fold_digest" => ranking_digest(merged)
                     );
                 }
-                return StreamAttemptEnd::Done(fidelity);
+                return Attempt::Ok(Some(fidelity));
             }
-            Ok(Msg::Error { err, .. }) => {
-                return match classify(err) {
-                    Attempt::Fatal(e) => StreamAttemptEnd::Fatal(e),
-                    Attempt::Draining => StreamAttemptEnd::Draining,
-                    Attempt::Retryable(hint) => StreamAttemptEnd::Retryable(hint),
-                    Attempt::Ok(..) => StreamAttemptEnd::Retryable(None),
-                }
-            }
+            Ok(Msg::Error { err, .. }) => return classify(err),
             // A non-stream kind is a confused peer: reconnect.
-            Ok(_) => return StreamAttemptEnd::Retryable(None),
-            Err(WireError::BadCrc { want, got }) => {
-                swsimd_obs::event!("reply_crc_mismatch", "want" => want, "got" => got);
-                return StreamAttemptEnd::Retryable(None);
-            }
-            Err(_) => return StreamAttemptEnd::Retryable(None),
+            Ok(_) => return Attempt::Retryable(None),
+            Err(e) => return read_failed(e),
         }
     }
 }
@@ -1441,31 +1280,14 @@ fn stream_attempt(
 /// delay and a sibling exists, launch a duplicate and take the first
 /// answer. Each attempt thread does its own breaker/metric
 /// bookkeeping, so the loser's late result still updates state.
-#[allow(clippy::too_many_arguments)] // attempt context travels together
 fn attempt_with_hedge(
     inner: &Arc<GatewayInner>,
     primary: usize,
     hedge: Option<usize>,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    flight: &QueryFlight,
-) -> Attempt {
+    scatter: &Arc<Scatter>,
+) -> Attempt<Answer> {
     let (tx, rx) = mpsc::channel();
-    spawn_attempt(
-        inner,
-        primary,
-        id,
-        tenant,
-        query,
-        top_k,
-        deadline_at,
-        ctx,
-        tx.clone(),
-    );
+    spawn_attempt(inner, primary, scatter, tx.clone());
 
     let hedge_delay = hedge.and_then(|_| effective_hedge_delay(inner, primary));
     let mut launched = 1;
@@ -1475,23 +1297,13 @@ fn attempt_with_hedge(
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 let sibling = hedge.expect("hedge_delay implies sibling");
                 inner.metrics.hedges.inc();
-                flight.hedges.fetch_add(1, Ordering::Relaxed);
+                scatter.flight.hedges.fetch_add(1, Ordering::Relaxed);
                 swsimd_obs::event!(
                     "hedged_request",
                     "primary" => primary,
                     "sibling" => sibling
                 );
-                spawn_attempt(
-                    inner,
-                    sibling,
-                    id,
-                    tenant,
-                    query,
-                    top_k,
-                    deadline_at,
-                    ctx,
-                    tx.clone(),
-                );
+                spawn_attempt(inner, sibling, scatter, tx.clone());
                 launched = 2;
                 None
             }
@@ -1525,7 +1337,7 @@ fn attempt_with_hedge(
     let mut fatal = None;
     for outcome in results {
         match outcome {
-            Attempt::Ok(hits, timing, fidelity) => return Attempt::Ok(hits, timing, fidelity),
+            Attempt::Ok(answer) => return Attempt::Ok(answer),
             Attempt::Fatal(e) => fatal = Some(e),
             Attempt::Draining => {}
             Attempt::Retryable(hint) => {
@@ -1553,116 +1365,76 @@ fn effective_hedge_delay(inner: &GatewayInner, primary: usize) -> Option<Duratio
     }
 }
 
-#[allow(clippy::too_many_arguments)] // attempt context travels together
 fn spawn_attempt(
     inner: &Arc<GatewayInner>,
     ordinal: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-    tx: mpsc::Sender<Attempt>,
+    scatter: &Arc<Scatter>,
+    tx: mpsc::Sender<Attempt<Answer>>,
 ) {
     let inner = Arc::clone(inner);
-    let query = query.to_vec();
-    let tenant = tenant.to_string();
+    let scatter = Arc::clone(scatter);
     std::thread::spawn(move || {
         let started = Instant::now();
-        inner.replicas[ordinal].metrics.inflight.inc();
-        let mut outcome = attempt_once(
-            &inner,
-            ordinal,
-            id,
-            &tenant,
-            &query,
-            top_k,
-            deadline_at,
-            ctx,
-        );
-        let rtt = started.elapsed();
         let replica = &inner.replicas[ordinal];
+        replica.metrics.inflight.inc();
+        let mut outcome = attempt_once(&inner, ordinal, &scatter);
+        let rtt = started.elapsed();
         replica.metrics.inflight.dec();
-        // Only the gateway can observe the round trip; stamp it onto
-        // the shard's timing summary for the stitched breakdown.
-        if let Attempt::Ok(_, Some(timing), _) = &mut outcome {
-            timing.rtt_ns = rtt.as_nanos() as u64;
-        }
-        match &outcome {
-            Attempt::Ok(..) => {
-                replica.metrics.rtt.record_duration(rtt);
-                lock_ok(&replica.breaker).record_success();
-            }
-            // Fatal outcomes are the *query's* fault, not the
-            // replica's — no strike.
-            Attempt::Fatal(_) => {}
-            // The replica said it is leaving: stop routing to it right
-            // now rather than strike-by-strike.
-            Attempt::Draining => {
-                inner.metrics.draining_replies.inc();
-                let opened = lock_ok(&replica.breaker).force_open();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_draining_unrouted", "replica" => ordinal);
-                }
-            }
-            Attempt::Retryable(_) => {
-                let opened = lock_ok(&replica.breaker).record_failure();
-                if opened {
-                    replica.metrics.down_total.inc();
-                    replica.metrics.up.set(0);
-                    swsimd_obs::event!("shard_breaker_open", "replica" => ordinal);
-                }
+        if let Attempt::Ok((_, timing, _)) = &mut outcome {
+            replica.metrics.rtt.record_duration(rtt);
+            // Only the gateway can observe the round trip; stamp it
+            // onto the shard's timing summary for the stitched
+            // breakdown.
+            if let Some(timing) = timing {
+                timing.rtt_ns = rtt.as_nanos() as u64;
             }
         }
+        settle(&inner, ordinal, &outcome);
         let _ = tx.send(outcome);
     });
 }
 
-#[allow(clippy::too_many_arguments)] // attempt context travels together
-fn attempt_once(
-    inner: &GatewayInner,
-    ordinal: usize,
-    id: u64,
-    tenant: &str,
-    query: &[u8],
-    top_k: usize,
-    deadline_at: Option<Instant>,
-    ctx: TraceCtx,
-) -> Attempt {
-    let replica = &inner.replicas[ordinal];
-    let Some(deadline_ms) = budget_ms(deadline_at) else {
-        return Attempt::Fatal(RemoteError::Serve(ServeError::DeadlineExceeded));
-    };
+/// Connect to replica `ordinal`, honouring injected connect faults.
+fn dial(inner: &GatewayInner, ordinal: usize) -> Option<TcpStream> {
     if inner.cfg.fault.before_connect(ordinal).is_err() {
-        return Attempt::Retryable(None);
+        return None;
     }
-    let Ok(addr) = resolve(&replica.addr) else {
-        return Attempt::Retryable(None);
+    let addr = resolve(&inner.replicas[ordinal].addr).ok()?;
+    TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout).ok()
+}
+
+fn attempt_once(inner: &GatewayInner, ordinal: usize, scatter: &Scatter) -> Attempt<Answer> {
+    let replica = &inner.replicas[ordinal];
+    let req = &scatter.req;
+    let Some(deadline_ms) = budget_ms(req.deadline) else {
+        return Attempt::Fatal(deadline_exceeded());
     };
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, inner.cfg.connect_timeout) else {
+    let Some(mut stream) = dial(inner, ordinal) else {
         return Attempt::Retryable(None);
     };
     let _ = stream.set_nodelay(true);
-    let mut read_timeout = inner.cfg.request_timeout;
-    if let Some(d) = deadline_at {
-        read_timeout = read_timeout.min(d.saturating_duration_since(Instant::now()));
-    }
+    // The read waits at most the per-attempt timeout, clipped to what
+    // is left of the query deadline.
+    let left = req
+        .deadline
+        .map(|d| d.saturating_duration_since(Instant::now()));
+    let clipped = left.is_some_and(|l| l < inner.cfg.request_timeout);
+    let read_timeout = left.map_or(inner.cfg.request_timeout, |l| {
+        l.min(inner.cfg.request_timeout)
+    });
     if read_timeout.is_zero() {
-        return Attempt::Fatal(RemoteError::Serve(ServeError::DeadlineExceeded));
+        return Attempt::Fatal(deadline_exceeded());
     }
     let _ = stream.set_read_timeout(Some(read_timeout));
     let msg = Msg::Query {
-        id,
-        top_k: top_k as u32,
+        id: scatter.id,
+        top_k: req.top_k as u32,
         deadline_ms,
         slice_index: replica.slice,
         slice_count: inner.groups.len() as u32,
-        query: query.to_vec(),
-        trace: ctx,
-        tenant: tenant.to_string(),
+        query: req.query.clone(),
+        trace: req.trace,
+        tenant: req.tenant.clone(),
     };
     if write_msg(&mut stream, &msg).is_err() {
         return Attempt::Retryable(None);
@@ -1673,25 +1445,39 @@ fn attempt_once(
             timing,
             fidelity,
             ..
-        }) => Attempt::Ok(hits, timing, fidelity),
+        }) => Attempt::Ok((hits, timing, fidelity)),
         Ok(Msg::Error { err, .. }) => classify(err),
         // A non-answer kind is a confused peer: don't trust it again
         // this attempt.
         Ok(_) => Attempt::Retryable(None),
-        // Torn frames, bit flips, timeouts, resets: all retryable.
-        Err(WireError::BadCrc { want, got }) => {
-            swsimd_obs::event!("reply_crc_mismatch", "want" => want, "got" => got);
-            Attempt::Retryable(None)
-        }
-        Err(_) => Attempt::Retryable(None),
+        // The read ran out of query deadline, not of per-attempt
+        // patience: the deadline expired here first, and that is
+        // fatal whichever side notices it.
+        Err(WireError::Io(e)) if clipped && is_timeout(&e) => Attempt::Fatal(deadline_exceeded()),
+        Err(e) => read_failed(e),
     }
+}
+
+fn is_timeout(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Torn frames, bit flips, timeouts, resets: all retryable.
+fn read_failed<T>(e: WireError) -> Attempt<T> {
+    if let WireError::BadCrc { want, got } = e {
+        swsimd_obs::event!("reply_crc_mismatch", "want" => want, "got" => got);
+    }
+    Attempt::Retryable(None)
 }
 
 /// Fatal errors fail the query; everything else earns a retry. A
 /// shard-side overload rejection (shed or rate-limited) attaches its
 /// `retry_after_ms` hint so the retry sleeps what the shard asked
 /// for, not the generic schedule.
-fn classify(err: RemoteError) -> Attempt {
+fn classify<T>(err: RemoteError) -> Attempt<T> {
     use ServeError as S;
     match &err {
         RemoteError::Serve(S::InvalidQuery(_))
@@ -1724,18 +1510,21 @@ mod tests {
     #[test]
     fn classify_splits_fatal_from_retryable() {
         assert!(matches!(
-            classify(RemoteError::Serve(ServeError::DeadlineExceeded)),
+            classify::<()>(RemoteError::Serve(ServeError::DeadlineExceeded)),
             Attempt::Fatal(_)
         ));
         assert!(matches!(
-            classify(RemoteError::Serve(ServeError::QueryTooLarge {
+            classify::<()>(RemoteError::Serve(ServeError::QueryTooLarge {
                 len: 2,
                 limit: 1
             })),
             Attempt::Fatal(_)
         ));
         assert!(
-            matches!(classify(RemoteError::BadResumeToken), Attempt::Fatal(_)),
+            matches!(
+                classify::<()>(RemoteError::BadResumeToken),
+                Attempt::Fatal(_)
+            ),
             "a rejected resume token cannot be fixed by retrying"
         );
         for retryable in [
@@ -1744,31 +1533,37 @@ mod tests {
             RemoteError::WrongShard { got: 0, want: 1 },
             RemoteError::Unavailable,
         ] {
-            assert!(matches!(classify(retryable), Attempt::Retryable(None)));
+            assert!(matches!(
+                classify::<()>(retryable),
+                Attempt::Retryable(None)
+            ));
         }
         // An announced departure is its own class: the breaker is
         // force-opened instead of accumulating strikes.
-        assert!(matches!(classify(RemoteError::Draining), Attempt::Draining));
+        assert!(matches!(
+            classify::<()>(RemoteError::Draining),
+            Attempt::Draining
+        ));
     }
 
     /// Overload rejections retry with the shard's own backoff hint.
     #[test]
     fn classify_carries_overload_hints() {
         assert!(matches!(
-            classify(RemoteError::Serve(ServeError::QueueFull {
+            classify::<()>(RemoteError::Serve(ServeError::QueueFull {
                 retry_after_ms: 40
             })),
             Attempt::Retryable(Some(40))
         ));
         assert!(matches!(
-            classify(RemoteError::Serve(ServeError::RateLimited {
+            classify::<()>(RemoteError::Serve(ServeError::RateLimited {
                 retry_after_ms: 900
             })),
             Attempt::Retryable(Some(900))
         ));
         // A hint-less shed from an old peer still retries.
         assert!(matches!(
-            classify(RemoteError::Serve(ServeError::QueueFull {
+            classify::<()>(RemoteError::Serve(ServeError::QueueFull {
                 retry_after_ms: 0
             })),
             Attempt::Retryable(Some(0))
@@ -1789,7 +1584,7 @@ mod tests {
         // Hold the only slot by hand, then watch a query bounce.
         let gate = gw.inner.tenant_gate("acme");
         gate.inflight.fetch_add(1, Ordering::Relaxed);
-        match gw.query_for("acme", &[1, 2, 3], 5, None) {
+        match gw.send(&Request::new(vec![1, 2, 3], 5).with_tenant("acme")) {
             Err(RemoteError::Serve(ServeError::QueueFull { retry_after_ms })) => {
                 assert!(retry_after_ms >= 1, "edge shed must carry a hint");
             }
@@ -1799,13 +1594,13 @@ mod tests {
         // Slot free again: admission passes and the (empty) topology
         // reports Unavailable — past the QoS gate.
         assert!(matches!(
-            gw.query_for("acme", &[1, 2, 3], 5, None),
+            gw.send(&Request::new(vec![1, 2, 3], 5).with_tenant("acme")),
             Err(RemoteError::Unavailable)
         ));
         assert_eq!(gate.inflight.load(Ordering::Relaxed), 0, "slot released");
         // A different tenant is not affected by acme's slot usage.
         assert!(matches!(
-            gw.query_for("other", &[1, 2, 3], 5, None),
+            gw.send(&Request::new(vec![1, 2, 3], 5).with_tenant("other")),
             Err(RemoteError::Unavailable)
         ));
     }
@@ -1825,10 +1620,10 @@ mod tests {
         // Burst of 4 bytes: one 3-byte query passes the bucket (then
         // fails on the empty topology), the next is rate-limited.
         assert!(matches!(
-            gw.query_for("metered", &[1, 2, 3], 5, None),
+            gw.send(&Request::new(vec![1, 2, 3], 5).with_tenant("metered")),
             Err(RemoteError::Unavailable)
         ));
-        match gw.query_for("metered", &[1, 2, 3], 5, None) {
+        match gw.send(&Request::new(vec![1, 2, 3], 5).with_tenant("metered")) {
             Err(RemoteError::Serve(ServeError::RateLimited { retry_after_ms })) => {
                 assert!(retry_after_ms >= 1);
             }
@@ -1836,7 +1631,7 @@ mod tests {
         }
         // An unmetered tenant is untouched.
         assert!(matches!(
-            gw.query_for("free", &[1, 2, 3], 5, None),
+            gw.send(&Request::new(vec![1, 2, 3], 5).with_tenant("free")),
             Err(RemoteError::Unavailable)
         ));
     }
@@ -1848,16 +1643,5 @@ mod tests {
             gw.query(&[1, 2, 3], 5, None),
             Err(RemoteError::Unavailable)
         ));
-    }
-
-    #[test]
-    fn budget_ms_zero_means_no_deadline() {
-        assert_eq!(budget_ms(None), Some(0));
-        assert_eq!(
-            budget_ms(Some(Instant::now() - Duration::from_millis(1))),
-            None
-        );
-        let ms = budget_ms(Some(Instant::now() + Duration::from_secs(2))).unwrap();
-        assert!(ms > 1500 && ms <= 2000, "{ms}");
     }
 }

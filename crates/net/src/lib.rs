@@ -26,6 +26,7 @@ pub mod backoff;
 pub mod breaker;
 pub mod chaos;
 pub mod client;
+mod conn;
 pub mod front;
 pub mod gateway;
 pub mod listen;

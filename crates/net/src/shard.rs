@@ -20,39 +20,31 @@
 //!   the reply write path, so every client-side defense is testable
 //!   against this real server.
 
+use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use swsimd_core::{AlignerBuilder, CancelReason, CancelToken, Hit};
 use swsimd_matrices::Alphabet;
 use swsimd_obs::flight::{ShardTiming, Stage, StageTiming};
-use swsimd_obs::trace::TraceCtx;
+use swsimd_obs::trace::{AdoptGuard, Span, TraceCtx};
 use swsimd_runner::{
     checkpointed_search_observed, rank_hits, read_journal_file,
     resume_checkpointed_search_observed, BatchServer, FaultPlan, Fidelity, JournalError,
-    JournalWriter, PoolConfig, QueryOutcome, ServeError, ServerClient, ServerConfig,
+    JournalWriter, PendingQuery, PoolConfig, QueryOutcome, ServeError, ServerClient, ServerConfig,
 };
 use swsimd_seq::{integrity::crc32, Database};
 
+use crate::conn::{
+    lock_ok, peer_gone, Acceptor, InFlight, Inbound, Lifecycle, Service, POLL_STEP,
+    STREAM_HEARTBEAT,
+};
 use crate::metrics::{AbandonReason, NetCancelled, StreamMetrics};
-use crate::wire::{ranking_digest, read_msg, Msg, RemoteError, WireError};
-
-/// How often a blocked reply poll interleaves a connection-liveness
-/// check.
-const POLL_STEP: Duration = Duration::from_millis(5);
-
-/// Accept-loop poll period for stop/drain flags.
-const ACCEPT_STEP: Duration = Duration::from_millis(10);
-
-/// How often a streaming connection proves liveness with a
-/// [`Msg::Progress`] frame when no chunk is ready. Receivers treat
-/// any stream frame as activity, so their idle timeout only fires
-/// after several missed heartbeats — "slow but alive" stays alive.
-const STREAM_HEARTBEAT: Duration = Duration::from_millis(250);
+use crate::wire::{ranking_digest, read_msg, Msg, RemoteError};
 
 /// Configuration for one shard worker.
 pub struct ShardConfig {
@@ -116,13 +108,10 @@ struct ShardShared {
     journal_dir: Option<PathBuf>,
     threads: usize,
     fault: FaultPlan,
-    draining: AtomicBool,
+    life: Lifecycle,
     standby: AtomicBool,
-    stopping: AtomicBool,
-    in_flight: AtomicUsize,
     cancelled: NetCancelled,
     stream: StreamMetrics,
-    idle_timeout: Duration,
     /// Parent token for journaled queries (the batch server governs
     /// its own jobs).
     shard_cancel: CancelToken,
@@ -134,8 +123,7 @@ struct ShardShared {
 pub struct ShardServer {
     shared: Arc<ShardShared>,
     addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    acceptor: Acceptor,
     drain_timeout: Duration,
 }
 
@@ -187,29 +175,19 @@ impl ShardServer {
             journal_dir: cfg.journal_dir,
             threads: cfg.threads.max(1),
             fault: cfg.fault,
-            draining: AtomicBool::new(false),
+            life: Lifecycle::default(),
             standby: AtomicBool::new(cfg.standby),
-            stopping: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
             cancelled: NetCancelled::new(),
             stream: StreamMetrics::new(),
-            idle_timeout: cfg.idle_timeout,
             shard_cancel: CancelToken::new(),
             server: Mutex::new(Some(server)),
         });
-
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
-        let accept_shared = Arc::clone(&shared);
-        let accept_conns = Arc::clone(&conns);
-        let accept_thread = std::thread::spawn(move || {
-            accept_loop(listener, accept_shared, accept_conns);
-        });
+        let acceptor = Acceptor::spawn(listener, Arc::clone(&shared), cfg.idle_timeout, "shard");
 
         Ok(ShardServer {
             shared,
             addr,
-            accept_thread: Some(accept_thread),
-            conns,
+            acceptor,
             drain_timeout: cfg.drain_timeout,
         })
     }
@@ -222,7 +200,7 @@ impl ShardServer {
     /// True once a drain has been requested (locally or by a
     /// [`Msg::Drain`] frame).
     pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
+        self.shared.life.draining()
     }
 
     /// True while this replica is a warm standby awaiting promotion.
@@ -239,12 +217,12 @@ impl ShardServer {
 
     /// Queries currently computing.
     pub fn in_flight(&self) -> usize {
-        self.shared.in_flight.load(Ordering::Acquire)
+        self.shared.life.in_flight.load(Ordering::Acquire)
     }
 
     /// Begin refusing new queries (health probes still answer).
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
+        self.shared.life.draining.store(true, Ordering::Release);
     }
 
     /// Drain, wait up to the configured drain timeout for in-flight
@@ -256,21 +234,9 @@ impl ShardServer {
     }
 
     fn shutdown_inner(&mut self) -> bool {
-        self.drain();
-        let deadline = Instant::now() + self.drain_timeout;
-        while self.shared.in_flight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            std::thread::sleep(POLL_STEP);
-        }
-        let clean = self.shared.in_flight.load(Ordering::Acquire) == 0;
-        self.shared.stopping.store(true, Ordering::Release);
+        let clean = self.shared.life.drain_and_stop(self.drain_timeout);
         self.shared.shard_cancel.cancel(CancelReason::Shutdown);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        let conns = std::mem::take(&mut *lock_ok(&self.conns));
-        for c in conns {
-            let _ = c.join();
-        }
+        self.acceptor.join();
         if let Some(server) = lock_ok(&self.shared.server).take() {
             server.shutdown();
         }
@@ -280,878 +246,485 @@ impl ShardServer {
 
 impl Drop for ShardServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
+        if self.acceptor.is_running() {
             self.shutdown_inner();
         }
     }
 }
 
-/// Mutex lock that shrugs off poisoning (connection threads may panic
-/// on injected faults without wedging shutdown).
-fn lock_ok<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
+impl Service for ShardShared {
+    fn life(&self) -> &Lifecycle {
+        &self.life
+    }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<ShardShared>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    while !shared.stopping.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    let _ = serve_conn(stream, conn_shared);
-                });
-                lock_ok(&conns).push(handle);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(ACCEPT_STEP);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_STEP),
+    fn pong_id(&self) -> u32 {
+        self.shard_index
+    }
+
+    /// A standby advertises `draining` so gateways keep it unrouted
+    /// until the supervisor promotes it.
+    fn advertises_draining(&self) -> bool {
+        self.life.draining() || self.standby.load(Ordering::Acquire)
+    }
+
+    fn activate(&self) {
+        if self.standby.swap(false, Ordering::AcqRel) {
+            swsimd_obs::event!("standby_activated", "shard" => self.shard_index);
         }
     }
-}
 
-/// True when the peer has disconnected (a liveness check between
-/// reply polls; never blocks).
-fn peer_gone(stream: &TcpStream) -> bool {
-    if stream.set_nonblocking(true).is_err() {
-        return true;
-    }
-    let mut probe = [0u8; 1];
-    let gone = match stream.peek(&mut probe) {
-        Ok(0) => true,
-        Ok(_) => false,
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            false
+    /// Write `msg`, applying any armed reply faults.
+    fn write(&self, stream: &mut TcpStream, msg: &Msg) -> bool {
+        if let Some(d) = self.fault.reply_delay(self.shard_index as usize) {
+            std::thread::sleep(d);
         }
-        Err(_) => true,
-    };
-    let _ = stream.set_nonblocking(false);
-    gone
-}
+        let mut framed = crate::wire::frame(&msg.encode());
+        match self.fault.reply_fault(self.shard_index as usize) {
+            swsimd_runner::ReplyFault::Torn => {
+                let keep = framed.len() / 2;
+                let _ = stream.write_all(&framed[..keep]);
+                let _ = stream.flush();
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+                return false;
+            }
+            swsimd_runner::ReplyFault::BitFlip => {
+                // Flip a payload byte: the length prefix stays honest, so
+                // the client reads a whole frame and the CRC catches it.
+                let idx = 4 + (framed.len() - 8) / 2;
+                framed[idx] ^= 0x20;
+            }
+            swsimd_runner::ReplyFault::None => {}
+        }
+        stream
+            .write_all(&framed)
+            .and_then(|_| stream.flush())
+            .is_ok()
+    }
 
-/// Write `msg`, applying any armed reply faults. Returns false when
-/// the connection must close (tear injected or write failed).
-fn write_reply(stream: &mut TcpStream, shared: &ShardShared, msg: &Msg) -> bool {
-    if let Some(d) = shared.fault.reply_delay(shared.shard_index as usize) {
-        std::thread::sleep(d);
-    }
-    let mut framed = crate::wire::frame(&msg.encode());
-    match shared.fault.reply_fault(shared.shard_index as usize) {
-        swsimd_runner::ReplyFault::Torn => {
-            let keep = framed.len() / 2;
-            let _ = stream.write_all(&framed[..keep]);
-            let _ = stream.flush();
-            let _ = stream.shutdown(std::net::Shutdown::Both);
-            return false;
-        }
-        swsimd_runner::ReplyFault::BitFlip => {
-            // Flip a payload byte: the length prefix stays honest, so
-            // the client reads a whole frame and the CRC catches it.
-            let idx = 4 + (framed.len() - 8) / 2;
-            framed[idx] ^= 0x20;
-        }
-        swsimd_runner::ReplyFault::None => {}
-    }
-    stream
-        .write_all(&framed)
-        .and_then(|_| stream.flush())
-        .is_ok()
-}
-
-fn serve_conn(mut stream: TcpStream, shared: Arc<ShardShared>) -> std::io::Result<()> {
-    // Backstop so a wedged peer cannot pin this thread forever; the
-    // idle wait below uses non-blocking peeks, so this only bounds
-    // mid-frame stalls. Configurable (and heartbeat-complemented on
-    // the stream path) rather than a hardcoded 30s.
-    crate::listen::apply_socket_opts(&stream, Some(shared.idle_timeout), "shard");
-    loop {
-        // Idle wait: watch for the first byte of a frame without
-        // committing to a blocking read, so stop/drain flags stay
-        // responsive.
-        loop {
-            if shared.stopping.load(Ordering::Acquire) {
-                return Ok(());
-            }
-            if peer_gone(&stream) {
-                return Ok(());
-            }
-            let mut probe = [0u8; 1];
-            let _ = stream.set_nonblocking(true);
-            let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-            let _ = stream.set_nonblocking(false);
-            if ready {
-                break;
-            }
-            std::thread::sleep(POLL_STEP);
-        }
-        let msg = match read_msg(&mut stream) {
-            Ok(m) => m,
-            Err(WireError::Eof) => return Ok(()),
-            Err(_) => return Ok(()), // torn/corrupt request: drop the conn
+    /// Answer with exactly one [`Msg::Hits`] carrying the shard's
+    /// [`ShardTiming`], or one [`Msg::Error`].
+    fn query(self: &Arc<Self>, stream: &mut TcpStream, q: Inbound) -> bool {
+        let id = q.id;
+        let top_k = q.req.top_k;
+        let mut admitted = match self.admit(q, "shard_query") {
+            Ok(a) => a,
+            Err(err) => return self.write(stream, &Msg::Error { id, err }),
         };
-        match msg {
-            Msg::Ping { nonce } => {
-                // A standby advertises `draining` so gateways keep it
-                // unrouted until the supervisor promotes it.
-                let pong = Msg::Pong {
-                    nonce,
-                    shard: shared.shard_index,
-                    draining: shared.draining.load(Ordering::Acquire)
-                        || shared.standby.load(Ordering::Acquire),
+        let result = loop {
+            if let Some(Ev::Done(r)) = admitted.waiter.next(POLL_STEP) {
+                break r;
+            }
+            if peer_gone(stream) {
+                // The real socket disconnect IS the cancellation signal.
+                admitted.waiter.cancel(CancelReason::ClientDrop);
+                self.cancelled.record(CancelReason::ClientDrop);
+                swsimd_obs::event!("net_client_drop", "id" => id);
+                return false;
+            }
+            if self.life.stopping() {
+                admitted.waiter.cancel(CancelReason::Shutdown);
+                self.cancelled.record(CancelReason::Shutdown);
+                return self.write(stream, &serve_error(id, ServeError::ShutDown));
+            }
+        };
+        let reply = match result {
+            Ok(outcome) => {
+                let hits = self.globalize(outcome.hits, top_k);
+                let span = &mut admitted.span;
+                span.record("engine", outcome.engine);
+                span.record("retries", outcome.retries as u64);
+                // Per-shard timing summary rides back on the reply so the
+                // gateway can stitch a complete stage breakdown without a
+                // second round trip (rtt_ns is filled in by the gateway,
+                // which is the only side that can observe it).
+                let timing = ShardTiming {
+                    shard: self.shard_index,
+                    root_span: span.id(),
+                    engine: outcome.engine.to_string(),
+                    rtt_ns: 0,
+                    stages: vec![
+                        StageTiming {
+                            stage: Stage::Queue,
+                            ns: outcome.queue_ns,
+                        },
+                        StageTiming {
+                            stage: Stage::Kernel,
+                            ns: outcome.compute_ns,
+                        },
+                    ],
                 };
-                if !write_reply(&mut stream, &shared, &pong) {
-                    return Ok(());
-                }
-            }
-            Msg::Activate => {
-                if shared.standby.swap(false, Ordering::AcqRel) {
-                    swsimd_obs::event!("standby_activated", "shard" => shared.shard_index);
-                }
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: shared.shard_index,
-                    draining: shared.draining.load(Ordering::Acquire),
-                };
-                if !write_reply(&mut stream, &shared, &ack) {
-                    return Ok(());
-                }
-            }
-            Msg::Drain => {
-                shared.draining.store(true, Ordering::Release);
-                let ack = Msg::Pong {
-                    nonce: 0,
-                    shard: shared.shard_index,
-                    draining: true,
-                };
-                if !write_reply(&mut stream, &shared, &ack) {
-                    return Ok(());
-                }
-            }
-            Msg::MetricsRequest => {
-                let text = swsimd_obs::global().prometheus_text().into_bytes();
-                if !write_reply(&mut stream, &shared, &Msg::MetricsText { text }) {
-                    return Ok(());
-                }
-            }
-            Msg::Query {
-                id,
-                top_k,
-                deadline_ms,
-                slice_index,
-                slice_count,
-                query,
-                trace,
-                tenant,
-            } => {
-                let reply = handle_query(
-                    &shared,
-                    &stream,
+                Msg::Hits {
                     id,
-                    top_k,
-                    deadline_ms,
-                    slice_index,
-                    slice_count,
-                    query,
-                    trace,
-                    &tenant,
-                );
-                match reply {
-                    Some(msg) => {
-                        if !write_reply(&mut stream, &shared, &msg) {
-                            return Ok(());
+                    degraded: false,
+                    missing_shards: Vec::new(),
+                    hits,
+                    trace_id: admitted.trace_id,
+                    timing: Some(timing),
+                    fidelity: outcome.fidelity,
+                }
+            }
+            Err(e) => self.failed(id, e),
+        };
+        self.write(stream, &reply)
+    }
+
+    /// Stream checkpoint chunks under the peer's credit window, then
+    /// [`Msg::Fin`]. Without a journal there are no checkpoint
+    /// boundaries to align to, so the batch server's answer streams
+    /// degenerately as one chunk plus `Fin`.
+    fn stream(
+        self: &Arc<Self>,
+        stream: &mut TcpStream,
+        q: Inbound,
+        credit: u32,
+        resume_cursor: u64,
+    ) -> bool {
+        let id = q.id;
+        let top_k = q.req.top_k;
+        let deadline = q.req.deadline;
+        let query_len = q.req.query.len() as u64;
+        let mut admitted = match self.admit(q, "shard_stream") {
+            Ok(a) => a,
+            Err(err) => return self.write(stream, &Msg::Error { id, err }),
+        };
+        // Cost accounting for Progress frames: exact per-chunk cell counts
+        // from the same deterministic partition the journal uses.
+        let cells_total = self.slice_db.total_residues() as u64 * query_len;
+        let chunk_cells: Vec<u64> = self
+            .slice_db
+            .partition(self.threads)
+            .iter()
+            .map(|r| {
+                r.clone()
+                    .map(|i| self.slice_db.record(i).len() as u64)
+                    .sum::<u64>()
+                    * query_len
+            })
+            .collect();
+        admitted.span.record("cursor", resume_cursor);
+        if resume_cursor > 0 {
+            // A non-zero cursor is a reconnect continuing from durable
+            // state — the stream-resume event the soak test asserts on.
+            self.stream.resumes.inc();
+            swsimd_obs::event!("stream_resume", "shard" => self.shard_index, "cursor" => resume_cursor);
+        }
+        let waiter = &admitted.waiter;
+        let durable = matches!(waiter, Waiter::Durable { .. });
+
+        let mut queued: VecDeque<(u64, Vec<Hit>)> = VecDeque::new();
+        let mut done: Option<Result<QueryOutcome, ServeError>> = None;
+        let mut credit_left = u64::from(credit);
+        let mut stall_counted = false;
+        let mut cells_done: u64 = 0;
+        let mut last_write = Instant::now();
+        let mut sent_chunks: u64 = 0;
+        let abandon = |reason: AbandonReason, cancel: Option<CancelReason>| {
+            if let Some(r) = cancel {
+                waiter.cancel(r);
+                self.cancelled.record(r);
+            }
+            self.stream.abandon(reason);
+            swsimd_obs::event!("stream_abandoned", "id" => id, "reason" => reason.as_str());
+        };
+
+        loop {
+            // 1. Absorb worker events (both paths park for POLL_STEP here).
+            if done.is_none() {
+                match waiter.next(POLL_STEP) {
+                    Some(Ev::Chunk(c, hits)) => queued.push_back((c, hits)),
+                    Some(Ev::Done(r)) => {
+                        done = Some(r.map(|mut outcome| {
+                            outcome.hits = self.globalize(outcome.hits, top_k);
+                            if !durable {
+                                cells_done = cells_total;
+                                queued.push_back((1, outcome.hits.clone()));
+                            }
+                            outcome
+                        }));
+                    }
+                    None => {}
+                }
+            } else {
+                std::thread::sleep(POLL_STEP);
+            }
+
+            // 2. Drain Credit frames the peer pushed (the only frames a
+            // stream client legally sends mid-stream).
+            if crate::conn::frame_ready(stream) {
+                match read_msg(stream) {
+                    Ok(Msg::Credit { id: cid, credits }) if cid == id => {
+                        credit_left += u64::from(credits);
+                        stall_counted = false;
+                    }
+                    Ok(_) | Err(_) => {
+                        // Protocol violation or torn frame mid-stream: the
+                        // connection state is unrecoverable.
+                        abandon(AbandonReason::Error, Some(CancelReason::ClientDrop));
+                        return false;
+                    }
+                }
+            }
+
+            // 3. Liveness, shutdown, and deadline checks.
+            if peer_gone(stream) {
+                // The journal stays on disk: this stream is resumable.
+                abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
+                return false;
+            }
+            if self.life.stopping() {
+                abandon(AbandonReason::Shutdown, Some(CancelReason::Shutdown));
+                let _ = self.write(stream, &serve_error(id, ServeError::ShutDown));
+                return false;
+            }
+            if deadline.is_some_and(|d| Instant::now() > d) && done.is_none() {
+                waiter.cancel(CancelReason::Deadline);
+            }
+
+            // 4. Deliver ready chunks while the credit window allows.
+            while let Some((c, _)) = queued.front() {
+                if *c <= resume_cursor {
+                    // Already delivered before the interruption.
+                    queued.pop_front();
+                    continue;
+                }
+                if credit_left == 0 {
+                    if !stall_counted {
+                        self.stream.credit_stalls.inc();
+                        stall_counted = true;
+                    }
+                    break;
+                }
+                let (c, hits) = queued.pop_front().expect("front checked");
+                let chunk = Msg::StreamChunk {
+                    id,
+                    shard: self.shard_index,
+                    cursor: c,
+                    hits,
+                };
+                if !self.write(stream, &chunk) {
+                    abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
+                    return false;
+                }
+                self.stream.chunks.inc();
+                sent_chunks += 1;
+                credit_left -= 1;
+                if durable {
+                    cells_done += chunk_cells.get((c - 1) as usize).copied().unwrap_or(0);
+                }
+                last_write = Instant::now();
+            }
+
+            // 5. Heartbeat when nothing else proved liveness recently.
+            if last_write.elapsed() >= STREAM_HEARTBEAT {
+                let beat = Msg::Progress {
+                    id,
+                    cells_done,
+                    cells_total,
+                };
+                if !self.write(stream, &beat) {
+                    abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
+                    return false;
+                }
+                last_write = Instant::now();
+            }
+
+            // 6. Everything delivered and the worker is done: finish.
+            if queued.is_empty() {
+                let Some(result) = done.take() else {
+                    continue;
+                };
+                let reply = match result {
+                    Ok(outcome) => {
+                        admitted.span.record("engine", outcome.engine);
+                        admitted.span.record("chunks", sent_chunks);
+                        Msg::Fin {
+                            id,
+                            digest: ranking_digest(&outcome.hits),
+                            degraded: false,
+                            missing_shards: Vec::new(),
+                            trace_id: admitted.trace_id,
+                            fidelity: outcome.fidelity,
                         }
                     }
-                    // Client dropped mid-compute: nobody to answer.
-                    None => return Ok(()),
-                }
-            }
-            Msg::TraceRequest { trace_id } => {
-                let records = swsimd_obs::flight::global()
-                    .lookup(trace_id)
-                    .into_iter()
-                    .collect();
-                if !write_reply(&mut stream, &shared, &Msg::FlightRecords { records }) {
-                    return Ok(());
-                }
-            }
-            Msg::SlowlogRequest { limit } => {
-                let records = swsimd_obs::flight::global().slowlog(flight_limit(limit));
-                if !write_reply(&mut stream, &shared, &Msg::FlightRecords { records }) {
-                    return Ok(());
-                }
-            }
-            Msg::FlightJsonRequest {
-                trace_id,
-                limit,
-                slow_only,
-            } => {
-                let text = flight_json(trace_id, limit, slow_only).into_bytes();
-                if !write_reply(&mut stream, &shared, &Msg::FlightJson { text }) {
-                    return Ok(());
-                }
-            }
-            Msg::StreamQuery {
-                id,
-                top_k,
-                deadline_ms,
-                slice_index,
-                slice_count,
-                credit,
-                cursor,
-                query,
-                trace,
-                tenant,
-            } => {
-                let keep = handle_stream_query(
-                    &mut stream,
-                    &shared,
-                    StreamReq {
-                        id,
-                        top_k,
-                        deadline_ms,
-                        slice_index,
-                        slice_count,
-                        credit,
-                        cursor,
-                        query,
-                        trace,
-                        tenant,
-                    },
-                );
-                if !keep {
-                    return Ok(());
-                }
-            }
-            // Reply kinds have no meaning as requests, a stray Credit
-            // has no stream to feed, and Resume is a gateway-only
-            // request (shards reconnect with a StreamQuery cursor).
-            Msg::Hits { .. }
-            | Msg::Error { .. }
-            | Msg::Pong { .. }
-            | Msg::MetricsText { .. }
-            | Msg::FlightRecords { .. }
-            | Msg::FlightJson { .. }
-            | Msg::StreamChunk { .. }
-            | Msg::Progress { .. }
-            | Msg::Credit { .. }
-            | Msg::Resume { .. }
-            | Msg::Fin { .. } => return Ok(()),
-        }
-    }
-}
-
-/// Flight-recorder list limit: 0 on the wire means "server default".
-pub(crate) fn flight_limit(limit: u32) -> usize {
-    if limit == 0 {
-        32
-    } else {
-        limit as usize
-    }
-}
-
-/// Render a [`Msg::FlightJsonRequest`] against the process-global
-/// flight recorder: one record (or `null`) in single-trace mode, a
-/// JSON array in list mode. Shared by shard and gateway front ends.
-pub(crate) fn flight_json(trace_id: u64, limit: u32, slow_only: bool) -> String {
-    let recorder = swsimd_obs::flight::global();
-    if trace_id != 0 {
-        return match recorder.lookup(trace_id) {
-            Some(rec) => rec.to_json(),
-            None => "null".into(),
-        };
-    }
-    let n = flight_limit(limit);
-    if slow_only {
-        recorder.slowlog_json(n)
-    } else {
-        recorder.recent_json(n)
-    }
-}
-
-/// Track one in-flight query for drain accounting.
-struct InFlight<'a>(&'a AtomicUsize);
-
-impl<'a> InFlight<'a> {
-    fn enter(c: &'a AtomicUsize) -> Self {
-        c.fetch_add(1, Ordering::AcqRel);
-        InFlight(c)
-    }
-}
-
-impl Drop for InFlight<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// Either compute path, awaited in steps.
-enum Pending {
-    Server(swsimd_runner::PendingQuery),
-    Durable {
-        rx: mpsc::Receiver<Result<QueryOutcome, ServeError>>,
-        token: CancelToken,
-    },
-}
-
-impl Pending {
-    fn poll(&self, step: Duration) -> Option<Result<QueryOutcome, ServeError>> {
-        match self {
-            Pending::Server(p) => p.poll(step),
-            Pending::Durable { rx, .. } => match rx.recv_timeout(step) {
-                Ok(r) => Some(r),
-                Err(mpsc::RecvTimeoutError::Timeout) => None,
-                Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServeError::ShutDown)),
-            },
-        }
-    }
-
-    fn cancel(&self, reason: CancelReason) {
-        match self {
-            Pending::Server(p) => {
-                p.cancel(reason);
-            }
-            Pending::Durable { token, .. } => {
-                token.cancel(reason);
+                    Err(e) => {
+                        self.stream.abandon(AbandonReason::Error);
+                        self.failed(id, e)
+                    }
+                };
+                return self.write(stream, &reply);
             }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)] // wire fields arrive together
-fn handle_query(
-    shared: &Arc<ShardShared>,
-    stream: &TcpStream,
-    id: u64,
-    top_k: u32,
-    deadline_ms: u32,
-    slice_index: u32,
-    slice_count: u32,
-    query: Vec<u8>,
-    trace: TraceCtx,
-    tenant: &str,
-) -> Option<Msg> {
-    if shared.draining.load(Ordering::Acquire) || shared.standby.load(Ordering::Acquire) {
-        return Some(Msg::Error {
-            id,
-            err: RemoteError::Draining,
-        });
+/// A typed serving failure as a reply frame.
+fn serve_error(id: u64, e: ServeError) -> Msg {
+    Msg::Error {
+        id,
+        err: RemoteError::Serve(e),
     }
-    // slice_count 0 = direct whole-slice query (tests, single-shard
-    // clients); anything else must match this shard's coordinates.
-    if slice_count != 0 && (slice_count != shared.shard_count || slice_index != shared.shard_index)
-    {
-        return Some(Msg::Error {
-            id,
-            err: RemoteError::WrongShard {
-                got: slice_index,
-                want: shared.shard_index,
-            },
-        });
-    }
-    let _guard = InFlight::enter(&shared.in_flight);
-    // Adopt the trace context that crossed the wire: the shard-side
-    // span tree (this root, then the batch server's kernel spans)
-    // parents under the gateway's request span, stitching one
-    // distributed tree keyed by the shared trace id.
-    let _adopt = swsimd_obs::adopt(trace);
-    let mut span = swsimd_obs::span!("shard_query", "shard" => shared.shard_index, "id" => id);
-    let ctx = TraceCtx {
-        trace_id: trace.trace_id,
-        span_id: if span.id() != 0 {
-            span.id()
-        } else {
-            trace.span_id
-        },
-    };
-    let deadline =
-        (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
-
-    let pending = if shared.journal_dir.is_some() {
-        durable_submit(shared, query, deadline, ctx)
-    } else {
-        match shared
-            .client
-            .submit_traced_for(tenant, query, top_k as usize, deadline, ctx)
-        {
-            Ok(p) => Pending::Server(p),
-            Err(e) => {
-                return Some(Msg::Error {
-                    id,
-                    err: RemoteError::Serve(e),
-                })
-            }
-        }
-    };
-
-    let result = loop {
-        if let Some(r) = pending.poll(POLL_STEP) {
-            break r;
-        }
-        if peer_gone(stream) {
-            // The real socket disconnect IS the cancellation signal.
-            pending.cancel(CancelReason::ClientDrop);
-            shared.cancelled.record(CancelReason::ClientDrop);
-            swsimd_obs::event!("net_client_drop", "id" => id);
-            return None;
-        }
-        if shared.stopping.load(Ordering::Acquire) {
-            pending.cancel(CancelReason::Shutdown);
-            shared.cancelled.record(CancelReason::Shutdown);
-            return Some(Msg::Error {
-                id,
-                err: RemoteError::Serve(ServeError::ShutDown),
-            });
-        }
-    };
-
-    Some(match result {
-        Ok(outcome) => {
-            let QueryOutcome {
-                mut hits,
-                queue_ns,
-                compute_ns,
-                engine,
-                retries,
-                fidelity,
-            } = outcome;
-            // Slice-local → global indices; ranked within the slice.
-            for h in &mut hits {
-                h.db_index += shared.offset;
-            }
-            let hits = rank_hits(hits, top_k as usize);
-            span.record("engine", engine);
-            span.record("retries", retries as u64);
-            // Per-shard timing summary rides back on the reply so the
-            // gateway can stitch a complete stage breakdown without a
-            // second round trip (rtt_ns is filled in by the gateway,
-            // which is the only side that can observe it).
-            let timing = ShardTiming {
-                shard: shared.shard_index,
-                root_span: span.id(),
-                engine: engine.to_string(),
-                rtt_ns: 0,
-                stages: vec![
-                    StageTiming {
-                        stage: Stage::Queue,
-                        ns: queue_ns,
-                    },
-                    StageTiming {
-                        stage: Stage::Kernel,
-                        ns: compute_ns,
-                    },
-                ],
-            };
-            Msg::Hits {
-                id,
-                degraded: false,
-                missing_shards: Vec::new(),
-                hits,
-                trace_id: trace.trace_id,
-                timing: Some(timing),
-                fidelity,
-            }
-        }
-        Err(e) => {
-            if e == ServeError::DeadlineExceeded {
-                shared.cancelled.record(CancelReason::Deadline);
-            }
-            Msg::Error {
-                id,
-                err: RemoteError::Serve(e),
-            }
-        }
-    })
 }
 
-/// A [`Msg::StreamQuery`]'s fields, bundled so the handler signature
-/// stays readable.
-struct StreamReq {
-    id: u64,
-    top_k: u32,
-    deadline_ms: u32,
-    slice_index: u32,
-    slice_count: u32,
-    credit: u32,
-    cursor: u64,
-    query: Vec<u8>,
-    trace: TraceCtx,
-    tenant: String,
+/// One admitted query: its compute waiter plus the request context the
+/// reply needs. Fields drop in declaration order, so the shard span
+/// closes under the adopted trace before the drain slot frees.
+struct Admitted<'a> {
+    span: Span,
+    waiter: Waiter,
+    trace_id: u64,
+    _adopt: AdoptGuard,
+    _in_flight: InFlight<'a>,
 }
 
-/// Worker → connection events for one stream. The worker sends every
-/// chunk before `Done`, and mpsc preserves per-sender order, so the
-/// connection thread has flushed all chunks once it sees `Done`.
-enum StreamEv {
+/// Worker → connection events for one query. The durable worker sends
+/// every chunk before `Done`, and mpsc preserves per-sender order, so
+/// the connection thread has seen all chunks once it sees `Done`.
+enum Ev {
     /// `(cursor, globalized top-k hits)` for one journal chunk.
     Chunk(u64, Vec<Hit>),
     Done(Result<QueryOutcome, ServeError>),
 }
 
-/// Either compute path backing one stream, awaited in steps.
-enum StreamWaiter {
+/// Either compute path behind one admitted query, awaited in steps.
+enum Waiter {
+    /// A journaled pool search on a worker thread.
     Durable {
-        rx: mpsc::Receiver<StreamEv>,
+        rx: mpsc::Receiver<Ev>,
         token: CancelToken,
     },
-    Server(swsimd_runner::PendingQuery),
+    /// The in-process batch server.
+    Server(PendingQuery),
 }
 
-impl StreamWaiter {
+impl Waiter {
+    /// The next event within `step`, if any.
+    fn next(&self, step: Duration) -> Option<Ev> {
+        match self {
+            Waiter::Durable { rx, .. } => match rx.recv_timeout(step) {
+                Ok(ev) => Some(ev),
+                Err(mpsc::RecvTimeoutError::Timeout) => None,
+                // The worker died without reporting an outcome.
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    Some(Ev::Done(Err(ServeError::WorkerPanicked)))
+                }
+            },
+            Waiter::Server(p) => p.poll(step).map(Ev::Done),
+        }
+    }
+
     fn cancel(&self, reason: CancelReason) {
         match self {
-            StreamWaiter::Durable { token, .. } => {
+            Waiter::Durable { token, .. } => {
                 token.cancel(reason);
             }
-            StreamWaiter::Server(p) => {
+            Waiter::Server(p) => {
                 p.cancel(reason);
             }
         }
     }
 }
 
-/// Serve one streamed query on this connection. Returns true when the
-/// connection may continue serving requests, false when it must close
-/// (peer gone, protocol violation, or an injected tear).
-fn handle_stream_query(stream: &mut TcpStream, shared: &Arc<ShardShared>, req: StreamReq) -> bool {
-    let StreamReq {
-        id,
-        top_k,
-        deadline_ms,
-        slice_index,
-        slice_count,
-        credit,
-        cursor: resume_cursor,
-        query,
-        trace,
-        tenant,
-    } = req;
-    if shared.draining.load(Ordering::Acquire) || shared.standby.load(Ordering::Acquire) {
-        return write_reply(
-            stream,
-            shared,
-            &Msg::Error {
-                id,
-                err: RemoteError::Draining,
-            },
-        );
-    }
-    if slice_count != 0 && (slice_count != shared.shard_count || slice_index != shared.shard_index)
-    {
-        return write_reply(
-            stream,
-            shared,
-            &Msg::Error {
-                id,
-                err: RemoteError::WrongShard {
-                    got: slice_index,
-                    want: shared.shard_index,
-                },
-            },
-        );
-    }
-    let _guard = InFlight::enter(&shared.in_flight);
-    let _adopt = swsimd_obs::adopt(trace);
-    let mut span = swsimd_obs::span!(
-        "shard_stream",
-        "shard" => shared.shard_index,
-        "id" => id,
-        "cursor" => resume_cursor
-    );
-    let ctx = TraceCtx {
-        trace_id: trace.trace_id,
-        span_id: if span.id() != 0 {
-            span.id()
-        } else {
-            trace.span_id
-        },
-    };
-    if resume_cursor > 0 {
-        // A non-zero cursor is a reconnect continuing from durable
-        // state — the stream-resume event the soak test asserts on.
-        shared.stream.resumes.inc();
-        swsimd_obs::event!("stream_resume", "shard" => shared.shard_index, "cursor" => resume_cursor);
-    }
-    let deadline =
-        (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(deadline_ms)));
-
-    // Cost accounting for Progress frames: exact per-chunk cell counts
-    // from the same deterministic partition the journal uses.
-    let query_len = query.len() as u64;
-    let cells_total = shared.slice_db.total_residues() as u64 * query_len;
-    let chunk_cells: Vec<u64> = shared
-        .slice_db
-        .partition(shared.threads)
-        .iter()
-        .map(|r| {
-            r.clone()
-                .map(|i| shared.slice_db.record(i).len() as u64)
-                .sum::<u64>()
-                * query_len
-        })
-        .collect();
-
-    let (tx, rx) = mpsc::channel();
-    let durable = shared.journal_dir.is_some();
-    let waiter = if durable {
-        let token = durable_stream_submit(shared, query, top_k as usize, deadline, ctx, tx);
-        StreamWaiter::Durable { rx, token }
-    } else {
-        // Without a journal there are no checkpoint boundaries to
-        // align to: stream degenerately as one chunk plus Fin.
-        match shared
-            .client
-            .submit_traced_for(&tenant, query, top_k as usize, deadline, ctx)
+impl ShardShared {
+    /// Admission shared by the unary and streaming paths: refuse while
+    /// draining or standby and when mis-addressed; otherwise enter the
+    /// drain accounting, adopt the trace context that crossed the wire
+    /// (so this shard's span tree parents under the gateway's request
+    /// span), open the shard span, and submit to the compute path —
+    /// journaled when a journal directory is configured, else the
+    /// batch server. `Err` is the refusal to reply with instead.
+    fn admit(
+        self: &Arc<Self>,
+        q: Inbound,
+        span_name: &'static str,
+    ) -> Result<Admitted<'_>, RemoteError> {
+        let Inbound {
+            id,
+            slice_index,
+            slice_count,
+            mut req,
+        } = q;
+        if self.life.draining() || self.standby.load(Ordering::Acquire) {
+            return Err(RemoteError::Draining);
+        }
+        // slice_count 0 = direct whole-slice query (tests, single-shard
+        // clients); anything else must match this shard's coordinates.
+        if slice_count != 0 && (slice_count != self.shard_count || slice_index != self.shard_index)
         {
-            Ok(p) => StreamWaiter::Server(p),
-            Err(e) => {
-                return write_reply(
-                    stream,
-                    shared,
-                    &Msg::Error {
-                        id,
-                        err: RemoteError::Serve(e),
-                    },
-                );
-            }
+            return Err(RemoteError::WrongShard {
+                got: slice_index,
+                want: self.shard_index,
+            });
         }
-    };
-
-    let mut queued: std::collections::VecDeque<(u64, Vec<Hit>)> = std::collections::VecDeque::new();
-    let mut done: Option<Result<QueryOutcome, ServeError>> = None;
-    let mut credit_left = u64::from(credit);
-    let mut stall_counted = false;
-    let mut cells_done: u64 = 0;
-    let mut last_write = Instant::now();
-
-    let mut sent_chunks: u64 = 0;
-    let abandon = |reason: AbandonReason, cancel: Option<CancelReason>| {
-        if let Some(r) = cancel {
-            waiter.cancel(r);
-            shared.cancelled.record(r);
-        }
-        shared.stream.abandon(reason);
-        swsimd_obs::event!("stream_abandoned", "id" => id, "reason" => reason.as_str());
-    };
-
-    loop {
-        // 1. Absorb worker events (both paths park for POLL_STEP here).
-        match &waiter {
-            StreamWaiter::Durable { rx, .. } => match rx.recv_timeout(POLL_STEP) {
-                Ok(StreamEv::Chunk(c, hits)) => queued.push_back((c, hits)),
-                Ok(StreamEv::Done(r)) => done = Some(r),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    if done.is_none() {
-                        done = Some(Err(ServeError::WorkerPanicked));
-                    }
-                }
+        let in_flight = self.life.enter();
+        let trace = req.trace;
+        let adopt = swsimd_obs::adopt(trace);
+        let span = swsimd_obs::span!(span_name, "shard" => self.shard_index, "id" => id);
+        req.trace = TraceCtx {
+            trace_id: trace.trace_id,
+            span_id: if span.id() != 0 {
+                span.id()
+            } else {
+                trace.span_id
             },
-            StreamWaiter::Server(p) => {
-                if done.is_none() {
-                    if let Some(r) = p.poll(POLL_STEP) {
-                        if let Ok(outcome) = &r {
-                            let mut hits = outcome.hits.clone();
-                            for h in &mut hits {
-                                h.db_index += shared.offset;
-                            }
-                            let hits = rank_hits(hits, top_k as usize);
-                            cells_done = cells_total;
-                            queued.push_back((1, hits));
-                        }
-                        done = Some(r);
-                    }
-                } else {
-                    std::thread::sleep(POLL_STEP);
-                }
-            }
-        }
+        };
+        let waiter = if self.journal_dir.is_some() {
+            durable_stream_submit(self, req)
+        } else {
+            Waiter::Server(self.client.send(req).map_err(RemoteError::Serve)?)
+        };
+        Ok(Admitted {
+            span,
+            waiter,
+            trace_id: trace.trace_id,
+            _adopt: adopt,
+            _in_flight: in_flight,
+        })
+    }
 
-        // 2. Drain Credit frames the peer pushed (the only frames a
-        // stream client legally sends mid-stream).
-        let mut probe = [0u8; 1];
-        let _ = stream.set_nonblocking(true);
-        let ready = matches!(stream.peek(&mut probe), Ok(n) if n > 0);
-        let _ = stream.set_nonblocking(false);
-        if ready {
-            match read_msg(stream) {
-                Ok(Msg::Credit { id: cid, credits }) if cid == id => {
-                    credit_left += u64::from(credits);
-                    stall_counted = false;
-                }
-                Ok(_) | Err(_) => {
-                    // Protocol violation or torn frame mid-stream: the
-                    // connection state is unrecoverable.
-                    abandon(AbandonReason::Error, Some(CancelReason::ClientDrop));
-                    return false;
-                }
-            }
+    /// Slice-local → global indices, ranked within the slice.
+    fn globalize(&self, mut hits: Vec<Hit>, top_k: usize) -> Vec<Hit> {
+        for h in &mut hits {
+            h.db_index += self.offset;
         }
+        rank_hits(hits, top_k)
+    }
 
-        // 3. Liveness, shutdown, and deadline checks.
-        if peer_gone(stream) {
-            // The journal stays on disk: this stream is resumable.
-            abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
-            return false;
+    /// The reply for a failed query; a blown deadline also counts as a
+    /// deadline cancellation.
+    fn failed(&self, id: u64, e: ServeError) -> Msg {
+        if e == ServeError::DeadlineExceeded {
+            self.cancelled.record(CancelReason::Deadline);
         }
-        if shared.stopping.load(Ordering::Acquire) {
-            abandon(AbandonReason::Shutdown, Some(CancelReason::Shutdown));
-            let _ = write_reply(
-                stream,
-                shared,
-                &Msg::Error {
-                    id,
-                    err: RemoteError::Serve(ServeError::ShutDown),
-                },
-            );
-            return false;
-        }
-        if let Some(d) = deadline {
-            if Instant::now() > d && done.is_none() {
-                waiter.cancel(CancelReason::Deadline);
-            }
-        }
-
-        // 4. Deliver ready chunks while the credit window allows.
-        while let Some((c, _)) = queued.front() {
-            if *c <= resume_cursor {
-                // Already delivered before the interruption.
-                queued.pop_front();
-                continue;
-            }
-            if credit_left == 0 {
-                if !stall_counted {
-                    shared.stream.credit_stalls.inc();
-                    stall_counted = true;
-                }
-                break;
-            }
-            let (c, hits) = queued.pop_front().expect("front checked");
-            if !write_reply(
-                stream,
-                shared,
-                &Msg::StreamChunk {
-                    id,
-                    shard: shared.shard_index,
-                    cursor: c,
-                    hits,
-                },
-            ) {
-                abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
-                return false;
-            }
-            shared.stream.chunks.inc();
-            sent_chunks += 1;
-            credit_left -= 1;
-            if durable {
-                cells_done += chunk_cells.get((c - 1) as usize).copied().unwrap_or(0);
-            }
-            last_write = Instant::now();
-        }
-
-        // 5. Heartbeat when nothing else proved liveness recently.
-        if last_write.elapsed() >= STREAM_HEARTBEAT {
-            if !write_reply(
-                stream,
-                shared,
-                &Msg::Progress {
-                    id,
-                    cells_done,
-                    cells_total,
-                },
-            ) {
-                abandon(AbandonReason::ClientDrop, Some(CancelReason::ClientDrop));
-                return false;
-            }
-            last_write = Instant::now();
-        }
-
-        // 6. Everything delivered and the worker is done: finish.
-        if queued.is_empty() && done.is_some() {
-            let result = done.take().expect("checked");
-            return match result {
-                Ok(outcome) => {
-                    let mut hits = outcome.hits;
-                    for h in &mut hits {
-                        h.db_index += shared.offset;
-                    }
-                    let hits = rank_hits(hits, top_k as usize);
-                    span.record("engine", outcome.engine);
-                    span.record("chunks", sent_chunks);
-                    write_reply(
-                        stream,
-                        shared,
-                        &Msg::Fin {
-                            id,
-                            digest: ranking_digest(&hits),
-                            degraded: false,
-                            missing_shards: Vec::new(),
-                            trace_id: trace.trace_id,
-                            fidelity: outcome.fidelity,
-                        },
-                    )
-                }
-                Err(e) => {
-                    if e == ServeError::DeadlineExceeded {
-                        shared.cancelled.record(CancelReason::Deadline);
-                    }
-                    shared.stream.abandon(AbandonReason::Error);
-                    write_reply(
-                        stream,
-                        shared,
-                        &Msg::Error {
-                            id,
-                            err: RemoteError::Serve(e),
-                        },
-                    )
-                }
-            };
-        }
+        serve_error(id, e)
     }
 }
 
-/// Submit a streamed query on the durable path: the worker runs the
-/// observed checkpointed search (resuming an existing journal first)
-/// and forwards every checkpoint chunk — globalized and top-k ranked —
-/// over `tx` before the final outcome.
-fn durable_stream_submit(
-    shared: &Arc<ShardShared>,
-    query: Vec<u8>,
-    top_k: usize,
-    deadline: Option<Instant>,
-    trace: TraceCtx,
-    tx: mpsc::Sender<StreamEv>,
-) -> CancelToken {
-    let token = shared.shard_cancel.child_with_deadline(deadline);
-    let shared = Arc::clone(shared);
+/// Submit on the durable (journaled) path: the worker runs the observed
+/// checkpointed search (resuming an existing journal first) and
+/// forwards every checkpoint chunk — globalized and top-k ranked —
+/// before the final outcome. The journal file is deleted only after
+/// the outcome is computed, so any interruption leaves a resumable
+/// checkpoint.
+fn durable_stream_submit(shared: &Arc<ShardShared>, req: swsimd_runner::Request) -> Waiter {
+    let token = shared.shard_cancel.child_with_deadline(req.deadline);
+    let (tx, rx) = mpsc::channel();
     let worker_token = token.clone();
+    let shared = Arc::clone(shared);
     std::thread::spawn(move || {
-        let _adopt = swsimd_obs::adopt(trace);
+        // Adopt on the worker thread: pool spans parent under the
+        // shard's request span even across this thread hop.
+        let _adopt = swsimd_obs::adopt(req.trace);
         let started = Instant::now();
         let chunk_tx = tx.clone();
-        let offset = shared.offset;
-        let result = durable_compute(&shared, &query, worker_token, &mut |chunk, hits| {
+        let result = durable_compute(&shared, &req.query, worker_token, &mut |chunk, hits| {
             // Rank inside the observer so only `top_k` hits per chunk
             // cross the channel: the full per-chunk hit list is
             // journal state, not stream payload.
-            let mut hits = hits.to_vec();
-            for h in &mut hits {
-                h.db_index += offset;
-            }
-            let hits = rank_hits(hits, top_k);
-            let _ = chunk_tx.send(StreamEv::Chunk(chunk as u64 + 1, hits));
+            let hits = shared.globalize(hits.to_vec(), req.top_k);
+            let _ = chunk_tx.send(Ev::Chunk(chunk as u64 + 1, hits));
         });
         let compute_ns = started.elapsed().as_nanos() as u64;
-        let _ = tx.send(StreamEv::Done(result.map(|hits| QueryOutcome {
+        let _ = tx.send(Ev::Done(result.map(|hits| QueryOutcome {
             hits,
             queue_ns: 0,
             compute_ns,
@@ -1160,41 +733,7 @@ fn durable_stream_submit(
             fidelity: Fidelity::Full,
         })));
     });
-    token
-}
-
-/// Submit on the durable (journaled) path: the query runs under
-/// [`checkpointed_search_observed`] on a worker thread; an existing
-/// journal for the same query is resumed first. The journal file is
-/// deleted only after the reply is computed, so any interruption
-/// leaves a resumable checkpoint.
-fn durable_submit(
-    shared: &Arc<ShardShared>,
-    query: Vec<u8>,
-    deadline: Option<Instant>,
-    trace: TraceCtx,
-) -> Pending {
-    let token = shared.shard_cancel.child_with_deadline(deadline);
-    let (tx, rx) = mpsc::channel();
-    let shared = Arc::clone(shared);
-    let worker_token = token.clone();
-    std::thread::spawn(move || {
-        // Adopt on the worker thread: pool spans parent under the
-        // shard's request span even across this thread hop.
-        let _adopt = swsimd_obs::adopt(trace);
-        let started = Instant::now();
-        let result = durable_compute(&shared, &query, worker_token, &mut |_, _| {});
-        let compute_ns = started.elapsed().as_nanos() as u64;
-        let _ = tx.send(result.map(|hits| QueryOutcome {
-            hits,
-            queue_ns: 0,
-            compute_ns,
-            engine: "pool",
-            retries: 0,
-            fidelity: Fidelity::Full,
-        }));
-    });
-    Pending::Durable { rx, token }
+    Waiter::Durable { rx, token }
 }
 
 fn durable_compute(

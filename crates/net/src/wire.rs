@@ -28,6 +28,7 @@
 //! message kinds, are append-only.
 
 use std::io::{self, Read, Write};
+use std::time::Instant;
 
 use swsimd_core::{AlignError, Hit, Precision};
 use swsimd_obs::flight::{AuditRecord, ShardTiming, Stage, StageTiming};
@@ -1514,9 +1515,28 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<Msg, WireError> {
     Msg::decode(&payload)
 }
 
+/// Remaining milliseconds until `deadline` for a request frame's
+/// relative `deadline_ms` (0 = no deadline); `None` when it has already
+/// expired. A live sub-millisecond remainder encodes as 1, never as
+/// "no deadline".
+pub(crate) fn budget_ms(deadline: Option<Instant>) -> Option<u32> {
+    match deadline {
+        None => Some(0),
+        Some(d) => {
+            let left = d.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                None
+            } else {
+                Some(left.as_millis().clamp(1, u64::from(u32::MAX) as u128) as u32)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn roundtrip(msg: Msg) {
         let framed = frame(&msg.encode());
@@ -2159,5 +2179,16 @@ mod tests {
         framed[..4].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut cursor = &framed[..];
         assert!(matches!(read_msg(&mut cursor), Err(WireError::TooLarge(_))));
+    }
+
+    #[test]
+    fn budget_ms_zero_means_no_deadline() {
+        assert_eq!(budget_ms(None), Some(0));
+        assert_eq!(
+            budget_ms(Some(Instant::now() - Duration::from_millis(1))),
+            None
+        );
+        let ms = budget_ms(Some(Instant::now() + Duration::from_secs(2))).unwrap();
+        assert!(ms > 1500 && ms <= 2000, "{ms}");
     }
 }

@@ -40,7 +40,7 @@ pub use qos::{
 };
 pub use scenarios::{scenario1, scenario1_durable, scenario2, scenario3, ScenarioReport};
 pub use server::{
-    rank_hits, BatchServer, PendingQuery, QueryOutcome, ServeError, ServerClient, ServerConfig,
-    ServerStats,
+    rank_hits, BatchServer, PendingQuery, QueryOutcome, Request, ServeError, ServerClient,
+    ServerConfig, ServerStats,
 };
 pub use shadow::{OnMismatch, Sampler, ShadowConfig, ShadowOutcome, ShadowVerifier};

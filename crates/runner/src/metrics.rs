@@ -123,7 +123,7 @@ pub struct ServeCounters {
     pub full_batches: AtomicU64,
     /// Queries that hit their deadline before a result arrived.
     pub timeouts: AtomicU64,
-    /// Queries shed by `try_query` because the job queue was full.
+    /// Queries shed because a tenant lane or the job queue was full.
     pub shed: AtomicU64,
     /// Queries refused at admission by a tenant's token bucket.
     pub rate_limited: AtomicU64,

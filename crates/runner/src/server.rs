@@ -13,23 +13,24 @@
 //! The serving layer never panics on the request path; every failure
 //! is a typed [`ServeError`]:
 //!
-//! * the job queue is **bounded** (`queue_depth`) and partitioned into
-//!   bounded per-tenant fair-share lanes scheduled by deficit
-//!   round-robin ([`ServerConfig::qos`]): a full lane sheds with
-//!   [`ServeError::QueueFull`] (carrying a `retry_after_ms` hint) and
-//!   a tenant's token bucket refuses excess cost with
-//!   [`ServeError::RateLimited`], so one hot tenant cannot starve the
-//!   rest; [`ServerClient::query`] still applies backpressure by
-//!   blocking while its lane has room;
+//! * every request is one [`Request`] value admitted through
+//!   [`ServerClient::send`], and the job queue is **bounded**
+//!   (`queue_depth`) and partitioned into bounded per-tenant
+//!   fair-share lanes scheduled by deficit round-robin
+//!   ([`ServerConfig::qos`]): a full lane (or a full transport queue)
+//!   sheds immediately with [`ServeError::QueueFull`] (carrying a
+//!   `retry_after_ms` hint) and a tenant's token bucket refuses excess
+//!   cost with [`ServeError::RateLimited`], so one hot tenant cannot
+//!   starve the rest and no caller ever blocks on admission;
 //! * under sustained queue delay the brownout controller
 //!   ([`ServerConfig::brownout`]) cheapens work stepwise instead of
 //!   refusing it — each step is declared as a typed [`Fidelity`] on
 //!   the result, never applied silently;
-//! * [`ServerClient::query_with_deadline`] bounds enqueue + compute +
-//!   reply with one deadline and returns
-//!   [`ServeError::DeadlineExceeded`] when it expires — it never blocks
-//!   indefinitely, and the server skips jobs whose deadline has already
-//!   passed instead of computing dead answers;
+//! * a [`Request::deadline`] bounds queue + compute + reply:
+//!   [`PendingQuery::wait`] returns [`ServeError::DeadlineExceeded`]
+//!   when it expires — it never blocks indefinitely — and the server
+//!   skips jobs whose deadline has already passed instead of computing
+//!   dead answers;
 //! * a panicking worker is isolated with `catch_unwind` and the job is
 //!   retried **once** on the scalar reference engine (exact scores,
 //!   degraded throughput); only a double fault surfaces as
@@ -65,9 +66,7 @@ use std::sync::atomic::{
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{
-    bounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender, TrySendError,
-};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use swsimd_core::{
     validate_encoded, AlignError, Aligner, AlignerBuilder, CancelReason, CancelToken, EngineKind,
     Hit, MemBudget,
@@ -493,6 +492,54 @@ enum Msg {
     Shutdown,
 }
 
+/// One search request: the single value every serving layer admits —
+/// [`ServerClient::send`] in process, and the network gateway and wire
+/// client on the sharded tier.
+#[derive(Clone, Debug, Default)]
+pub struct Request {
+    /// Encoded query residues.
+    pub query: Vec<u8>,
+    /// Hits to return, best first (0 keeps all).
+    pub top_k: usize,
+    /// Tenant the request bills to. The tenant's token bucket and
+    /// bounded fair-share lane admit it, and deficit round-robin
+    /// schedules it against other tenants' lanes. Empty is the
+    /// anonymous/default tenant.
+    pub tenant: String,
+    /// Deadline covering queueing, compute and reply. On expiry the
+    /// job is cancelled and the caller gets
+    /// [`ServeError::DeadlineExceeded`]. `None` waits indefinitely.
+    pub deadline: Option<Instant>,
+    /// Distributed-trace context: the worker adopts it around the
+    /// kernel, so compute spans parent under the caller's (possibly
+    /// remote) request span and the flight-recorder audit record
+    /// carries its trace id. The default is untraced.
+    pub trace: TraceCtx,
+}
+
+impl Request {
+    /// An untraced request from the default tenant with no deadline.
+    pub fn new(query: Vec<u8>, top_k: usize) -> Self {
+        Self {
+            query,
+            top_k,
+            ..Self::default()
+        }
+    }
+
+    /// Bill the request to `tenant`.
+    pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
+        self.tenant = tenant.into();
+        self
+    }
+
+    /// Set the deadline `timeout` from now.
+    pub fn with_timeout(mut self, timeout: Duration) -> Self {
+        self.deadline = Some(Instant::now() + timeout);
+        self
+    }
+}
+
 /// Handle for submitting queries to a running server.
 #[derive(Clone)]
 pub struct ServerClient {
@@ -505,9 +552,6 @@ pub struct ServerClient {
     /// Total residues in the served database — the other factor of the
     /// `|query| × Σ|db|` cost model.
     db_residues: u64,
-    /// Deadline applied by [`ServerClient::query`] when the caller did
-    /// not pick one.
-    default_timeout: Option<Duration>,
     /// Parent of every job token; cancelled with
     /// [`CancelReason::Shutdown`] when the server stops.
     server_cancel: CancelToken,
@@ -516,14 +560,14 @@ pub struct ServerClient {
 }
 
 impl ServerClient {
-    fn make_job(
-        &self,
-        tenant: &str,
-        query: Vec<u8>,
-        top_k: usize,
-        deadline: Option<Instant>,
-        trace: TraceCtx,
-    ) -> Result<(Job, Receiver<Reply>), ServeError> {
+    fn make_job(&self, req: Request) -> Result<(Job, Receiver<Reply>), ServeError> {
+        let Request {
+            query,
+            top_k,
+            tenant,
+            deadline,
+            trace,
+        } = req;
         if query.len() > self.max_query_len {
             swsimd_obs::event!(
                 "query_rejected_too_large",
@@ -555,7 +599,7 @@ impl ServerClient {
         // Token-bucket rate admission: charge the query's cost against
         // the tenant's bucket before it is ever buffered; a refusal
         // carries the refill time as the retry hint.
-        let shared = self.qos.tenant(tenant);
+        let shared = self.qos.tenant(&tenant);
         if let Some(bucket) = &shared.bucket {
             let take = bucket
                 .lock()
@@ -583,17 +627,7 @@ impl ServerClient {
             .queued
             .fetch_update(Relaxed, Relaxed, |q| (q < lane_depth).then_some(q + 1));
         if admitted.is_err() {
-            let retry_after_ms = self.qos.retry_hint_ms();
-            ServeCounters::bump(&self.counters.shed);
-            self.obs.shed.inc();
-            shared.shed.inc();
-            swsimd_obs::event!(
-                "load_shed",
-                "tenant" => tenant_label(&shared.name).to_string(),
-                "lane_depth" => lane_depth,
-                "retry_after_ms" => retry_after_ms
-            );
-            return Err(ServeError::QueueFull { retry_after_ms });
+            return Err(self.shed(&shared));
         }
         shared.queue_depth.inc();
         let (reply_tx, reply_rx) = bounded(1);
@@ -614,59 +648,48 @@ impl ServerClient {
         ))
     }
 
-    /// Undo a lane admission for a job that never reached the queue
-    /// (enqueue failed or timed out after [`ServerClient::make_job`]).
-    fn release_admission(&self, job: &Job) {
-        job.tenant.queued.fetch_sub(1, Relaxed);
-        job.tenant.queue_depth.dec();
+    /// Ledger + trace bookkeeping for one shed request; returns the
+    /// typed refusal carrying the worker's queue-delay backoff hint.
+    fn shed(&self, tenant: &TenantShared) -> ServeError {
+        let retry_after_ms = self.qos.retry_hint_ms();
+        ServeCounters::bump(&self.counters.shed);
+        self.obs.shed.inc();
+        tenant.shed.inc();
+        swsimd_obs::event!(
+            "load_shed",
+            "tenant" => tenant_label(&tenant.name).to_string(),
+            "depth" => self.obs.queue_depth.get(),
+            "retry_after_ms" => retry_after_ms
+        );
+        ServeError::QueueFull { retry_after_ms }
     }
 
-    /// Submit an encoded query without blocking for the reply. The
-    /// returned [`PendingQuery`] is polled in steps, so a network
-    /// front end can interleave waiting with connection-liveness
-    /// checks and cancel the job (`CancelReason::ClientDrop`) the
-    /// moment the requesting socket disconnects.
-    pub fn submit(
-        &self,
-        query: Vec<u8>,
-        top_k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<PendingQuery, ServeError> {
-        self.submit_traced(query, top_k, deadline, TraceCtx::default())
-    }
-
-    /// [`ServerClient::submit`] with a distributed-trace context: the
-    /// worker adopts `trace` around the kernel, so compute spans parent
-    /// under the remote caller's request span and the flight-recorder
-    /// audit record carries its trace id.
-    pub fn submit_traced(
-        &self,
-        query: Vec<u8>,
-        top_k: usize,
-        deadline: Option<Instant>,
-        trace: TraceCtx,
-    ) -> Result<PendingQuery, ServeError> {
-        self.submit_traced_for("", query, top_k, deadline, trace)
-    }
-
-    /// [`ServerClient::submit_traced`] on behalf of `tenant`: the job
-    /// is admitted through the tenant's token bucket and bounded
-    /// fair-share lane, and scheduled by deficit round-robin against
-    /// other tenants' lanes. The empty name is the anonymous/default
-    /// tenant.
-    pub fn submit_traced_for(
-        &self,
-        tenant: &str,
-        query: Vec<u8>,
-        top_k: usize,
-        deadline: Option<Instant>,
-        trace: TraceCtx,
-    ) -> Result<PendingQuery, ServeError> {
-        let (job, reply_rx) = self.make_job(tenant, query, top_k, deadline, trace)?;
+    /// Admit and enqueue one request without blocking. Admission runs
+    /// the size, cost, rate and fair-share lane checks; a request that
+    /// passes them but finds the transport queue full is shed with
+    /// [`ServeError::QueueFull`] like a full lane, so no caller ever
+    /// blocks here. The returned [`PendingQuery`] is awaited with
+    /// [`PendingQuery::wait`], or polled in steps so a network front
+    /// end can interleave waiting with connection-liveness checks and
+    /// cancel the job (`CancelReason::ClientDrop`) the moment the
+    /// requesting socket disconnects.
+    pub fn send(&self, req: Request) -> Result<PendingQuery, ServeError> {
+        let (job, reply_rx) = self.make_job(req)?;
         let token = job.cancel.clone();
-        if let Err(send_err) = self.tx.send(Msg::Job(job)) {
-            if let Msg::Job(job) = send_err.0 {
-                self.release_admission(&job);
+        let phase = job.phase.clone();
+        let deadline = job.deadline;
+        if let Err(err) = self.tx.try_send(Msg::Job(job)) {
+            let (full, msg) = match err {
+                TrySendError::Full(msg) => (true, msg),
+                TrySendError::Disconnected(msg) => (false, msg),
+            };
+            // Undo the lane admission: the job never reached the queue.
+            if let Msg::Job(job) = msg {
+                job.tenant.queued.fetch_sub(1, Relaxed);
+                job.tenant.queue_depth.dec();
+                if full {
+                    return Err(self.shed(&job.tenant));
+                }
             }
             return Err(ServeError::ShutDown);
         }
@@ -675,167 +698,24 @@ impl ServerClient {
             reply_rx,
             token,
             deadline,
+            phase,
+            counters: self.counters.clone(),
+            obs: self.obs.clone(),
         })
     }
 
-    /// Submit an encoded query; blocks until the batch containing it is
-    /// processed and returns the top `top_k` hits (all if 0). When the
-    /// underlying transport queue is full this applies backpressure by
-    /// blocking, but a full per-tenant lane sheds immediately with
-    /// [`ServeError::QueueFull`] — a tenant cannot buffer more than
-    /// its lane bound no matter which entry point it uses. When the
-    /// server has a [`ServerConfig::default_timeout`], the call is
-    /// routed through the same deadline machinery as
-    /// [`ServerClient::query_with_deadline`].
-    pub fn query(&self, query: Vec<u8>, top_k: usize) -> Result<Vec<Hit>, ServeError> {
-        self.query_for("", query, top_k)
-    }
-
-    /// [`ServerClient::query`] on behalf of `tenant` (see
-    /// [`ServerClient::submit_traced_for`] for the admission rules).
-    pub fn query_for(
-        &self,
-        tenant: &str,
-        query: Vec<u8>,
-        top_k: usize,
-    ) -> Result<Vec<Hit>, ServeError> {
-        if let Some(timeout) = self.default_timeout {
-            return self.query_with_deadline_for(tenant, query, top_k, timeout);
-        }
-        let (job, reply_rx) = self.make_job(tenant, query, top_k, None, TraceCtx::default())?;
-        if let Err(send_err) = self.tx.send(Msg::Job(job)) {
-            if let Msg::Job(job) = send_err.0 {
-                self.release_admission(&job);
-            }
-            return Err(ServeError::ShutDown);
-        }
-        self.obs.queue_depth.inc();
-        match reply_rx.recv() {
-            Ok(result) => result.map(|o| o.hits),
-            Err(_) => Err(ServeError::ShutDown),
-        }
-    }
-
-    /// Like [`ServerClient::query`], but never blocks past `timeout`:
-    /// the deadline covers enqueue, compute, and reply. On expiry the
-    /// call returns [`ServeError::DeadlineExceeded`], cancels the
-    /// job's token so in-flight compute stops at the next kernel check
-    /// period, and the server discards the job if it is still queued.
-    pub fn query_with_deadline(
+    /// [`ServerClient::send`] for an untraced request from the default
+    /// tenant.
+    pub fn submit(
         &self,
         query: Vec<u8>,
         top_k: usize,
-        timeout: Duration,
-    ) -> Result<Vec<Hit>, ServeError> {
-        self.query_with_deadline_for("", query, top_k, timeout)
-    }
-
-    /// [`ServerClient::query_with_deadline`] on behalf of `tenant`
-    /// (see [`ServerClient::submit_traced_for`] for the admission
-    /// rules).
-    pub fn query_with_deadline_for(
-        &self,
-        tenant: &str,
-        query: Vec<u8>,
-        top_k: usize,
-        timeout: Duration,
-    ) -> Result<Vec<Hit>, ServeError> {
-        let deadline = Instant::now() + timeout;
-        let (job, reply_rx) =
-            self.make_job(tenant, query, top_k, Some(deadline), TraceCtx::default())?;
-        let token = job.cancel.clone();
-        let phase = job.phase.clone();
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match self.tx.send_timeout(Msg::Job(job), remaining) {
-            Ok(()) => self.obs.queue_depth.inc(),
-            Err(SendTimeoutError::Timeout(msg)) => {
-                if let Msg::Job(job) = msg {
-                    self.release_admission(&job);
-                }
-                self.timed_out("enqueue");
-                return Err(ServeError::DeadlineExceeded);
-            }
-            Err(SendTimeoutError::Disconnected(msg)) => {
-                if let Msg::Job(job) = msg {
-                    self.release_admission(&job);
-                }
-                return Err(ServeError::ShutDown);
-            }
-        }
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match reply_rx.recv_timeout(remaining) {
-            Ok(result) => result.map(|o| o.hits),
-            Err(RecvTimeoutError::Timeout) => {
-                // Stop paying for an answer nobody will read. The
-                // expiry is charged to the stage the job is actually
-                // in, not assumed from which channel op timed out.
-                token.cancel(CancelReason::Deadline);
-                self.timed_out(stage_of(&phase));
-                Err(ServeError::DeadlineExceeded)
-            }
-            // The worker dropped the job: either it observed the
-            // expired deadline, or the server shut down.
-            Err(RecvTimeoutError::Disconnected) => {
-                if Instant::now() >= deadline {
-                    token.cancel(CancelReason::Deadline);
-                    self.timed_out(stage_of(&phase));
-                    Err(ServeError::DeadlineExceeded)
-                } else {
-                    Err(ServeError::ShutDown)
-                }
-            }
-        }
-    }
-
-    /// Ledger + trace bookkeeping for one observed deadline expiry.
-    fn timed_out(&self, stage: &'static str) {
-        ServeCounters::bump(&self.counters.timeouts);
-        self.obs.timeouts.inc();
-        swsimd_obs::event!("deadline_exceeded", "stage" => stage);
-    }
-
-    /// Non-blocking admission: if the tenant's bounded lane (or the
-    /// underlying job queue) is full the query is shed immediately
-    /// with [`ServeError::QueueFull`] (recorded in
-    /// [`ServerStats::shed`]) instead of growing memory or latency
-    /// without bound. Once admitted, blocks for the reply.
-    pub fn try_query(&self, query: Vec<u8>, top_k: usize) -> Result<Vec<Hit>, ServeError> {
-        self.try_query_for("", query, top_k)
-    }
-
-    /// [`ServerClient::try_query`] on behalf of `tenant` (see
-    /// [`ServerClient::submit_traced_for`] for the admission rules).
-    pub fn try_query_for(
-        &self,
-        tenant: &str,
-        query: Vec<u8>,
-        top_k: usize,
-    ) -> Result<Vec<Hit>, ServeError> {
-        let (job, reply_rx) = self.make_job(tenant, query, top_k, None, TraceCtx::default())?;
-        match self.tx.try_send(Msg::Job(job)) {
-            Ok(()) => self.obs.queue_depth.inc(),
-            Err(TrySendError::Full(msg)) => {
-                let retry_after_ms = self.qos.retry_hint_ms();
-                if let Msg::Job(job) = msg {
-                    self.release_admission(&job);
-                    job.tenant.shed.inc();
-                }
-                ServeCounters::bump(&self.counters.shed);
-                self.obs.shed.inc();
-                swsimd_obs::event!("load_shed", "depth" => self.obs.queue_depth.get());
-                return Err(ServeError::QueueFull { retry_after_ms });
-            }
-            Err(TrySendError::Disconnected(msg)) => {
-                if let Msg::Job(job) = msg {
-                    self.release_admission(&job);
-                }
-                return Err(ServeError::ShutDown);
-            }
-        }
-        match reply_rx.recv() {
-            Ok(result) => result.map(|o| o.hits),
-            Err(_) => Err(ServeError::ShutDown),
-        }
+        deadline: Option<Instant>,
+    ) -> Result<PendingQuery, ServeError> {
+        self.send(Request {
+            deadline,
+            ..Request::new(query, top_k)
+        })
     }
 }
 
@@ -846,8 +726,9 @@ pub struct ServerConfig {
     pub batch_size: usize,
     /// Maximum time the first query in a batch waits for company.
     pub max_wait: Duration,
-    /// Bound on queued jobs: `query` blocks (backpressure) and
-    /// `try_query` sheds when this many jobs are already waiting.
+    /// Bound on queued jobs: [`ServerClient::send`] sheds with
+    /// [`ServeError::QueueFull`] when this many jobs are already
+    /// waiting.
     pub queue_depth: usize,
     /// Fault-injection schedule (inert by default; see [`FaultPlan`]).
     pub fault_plan: FaultPlan,
@@ -863,11 +744,6 @@ pub struct ServerConfig {
     /// Sampled shadow verification of served hits against the scalar
     /// reference (off by default; see [`ShadowConfig`]).
     pub shadow: ShadowConfig,
-    /// Deadline applied to plain [`ServerClient::query`] calls. `None`
-    /// (the default) preserves the historical block-forever behaviour;
-    /// `Some(t)` routes every query through the same deadline
-    /// machinery as [`ServerClient::query_with_deadline`].
-    pub default_timeout: Option<Duration>,
     /// Cost-based admission ceiling in estimated DP cells
     /// (`|query| × Σ|db|`). Queries above it are rejected with
     /// [`ServeError::CostTooHigh`] before buffering. `None` disables.
@@ -903,7 +779,6 @@ impl Default for ServerConfig {
             health_period: None,
             max_query_len: usize::MAX,
             shadow: ShadowConfig::default(),
-            default_timeout: None,
             max_cost: None,
             mem_budget: None,
             stall_timeout: None,
@@ -1023,7 +898,6 @@ pub struct BatchServer {
     max_query_len: usize,
     max_cost: Option<u64>,
     db_residues: u64,
-    default_timeout: Option<Duration>,
     server_cancel: CancelToken,
     qos: Arc<QosShared>,
     /// Worker-published brownout level, mirrored for
@@ -1055,7 +929,6 @@ impl BatchServer {
         }
         let max_query_len = cfg.max_query_len;
         let max_cost = cfg.max_cost;
-        let default_timeout = cfg.default_timeout;
         let db_residues = db.total_residues() as u64;
         let server_cancel = CancelToken::new();
         let qos = QosShared::new(cfg.qos.clone(), &obs.instance, cfg.queue_depth);
@@ -1178,7 +1051,6 @@ impl BatchServer {
             max_query_len,
             max_cost,
             db_residues,
-            default_timeout,
             server_cancel,
             qos,
             brownout_level,
@@ -1212,7 +1084,6 @@ impl BatchServer {
             max_query_len: self.max_query_len,
             max_cost: self.max_cost,
             db_residues: self.db_residues,
-            default_timeout: self.default_timeout,
             server_cancel: self.server_cancel.clone(),
             qos: self.qos.clone(),
         }
@@ -1733,13 +1604,19 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
     }
 }
 
-/// A query submitted with [`ServerClient::submit`]: the reply is
-/// awaited in bounded steps instead of one blocking call, and the
-/// job's cancel token stays in the caller's hands.
+/// A query admitted by [`ServerClient::send`]: block for the reply
+/// with [`PendingQuery::wait`], or await it in bounded steps with
+/// [`PendingQuery::poll`]; the job's cancel token stays in the
+/// caller's hands.
 pub struct PendingQuery {
     reply_rx: Receiver<Reply>,
     token: CancelToken,
     deadline: Option<Instant>,
+    /// The job's lifecycle phase, so an expiry is charged to the
+    /// stage the job was actually in.
+    phase: Arc<AtomicU8>,
+    counters: Arc<ServeCounters>,
+    obs: Arc<ServerObs>,
 }
 
 impl PendingQuery {
@@ -1753,14 +1630,50 @@ impl PendingQuery {
         self.token.cancel(reason)
     }
 
+    fn expired(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
+    }
+
+    /// Block until the reply arrives or the request deadline passes.
+    /// On expiry the job's token is cancelled, so in-flight compute
+    /// stops at the next kernel check period and a still-queued job is
+    /// discarded; the expiry counts once in [`ServerStats::timeouts`]
+    /// against the stage the job was in, and the call returns
+    /// [`ServeError::DeadlineExceeded`].
+    pub fn wait(self) -> Result<QueryOutcome, ServeError> {
+        let received = match self.deadline {
+            Some(d) => self
+                .reply_rx
+                .recv_timeout(d.saturating_duration_since(Instant::now())),
+            None => self
+                .reply_rx
+                .recv()
+                .map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match received {
+            Ok(reply) => reply,
+            // The worker dropped the job without a deadline to blame:
+            // the server shut down.
+            Err(RecvTimeoutError::Disconnected) if !self.expired() => Err(ServeError::ShutDown),
+            // Timed out, or the worker dropped the job because it
+            // observed the same expired deadline.
+            Err(_) => {
+                self.token.cancel(CancelReason::Deadline);
+                ServeCounters::bump(&self.counters.timeouts);
+                self.obs.timeouts.inc();
+                swsimd_obs::event!("deadline_exceeded", "stage" => stage_of(&self.phase));
+                Err(ServeError::DeadlineExceeded)
+            }
+        }
+    }
+
     /// Wait up to `step` for the reply. `None` means still pending;
-    /// expiry of the submit deadline cancels the job
+    /// expiry of the request deadline cancels the job
     /// ([`CancelReason::Deadline`]) and yields
-    /// [`ServeError::DeadlineExceeded`] exactly like
-    /// [`ServerClient::query_with_deadline`]. A successful poll yields
-    /// the full [`QueryOutcome`] (hits plus queue/compute timing and
-    /// engine attribution) so a network front end can report per-shard
-    /// stage breakdowns upstream.
+    /// [`ServeError::DeadlineExceeded`]. A successful poll yields the
+    /// full [`QueryOutcome`] (hits plus queue/compute timing and engine
+    /// attribution) so a network front end can report per-shard stage
+    /// breakdowns upstream.
     pub fn poll(&self, step: Duration) -> Option<Result<QueryOutcome, ServeError>> {
         let wait = match self.deadline {
             Some(d) => {
@@ -1776,14 +1689,12 @@ impl PendingQuery {
         match self.reply_rx.recv_timeout(wait) {
             Ok(result) => Some(result),
             Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => {
-                Some(if self.deadline.is_some_and(|d| Instant::now() >= d) {
-                    self.token.cancel(CancelReason::Deadline);
-                    Err(ServeError::DeadlineExceeded)
-                } else {
-                    Err(ServeError::ShutDown)
-                })
-            }
+            Err(RecvTimeoutError::Disconnected) => Some(if self.expired() {
+                self.token.cancel(CancelReason::Deadline);
+                Err(ServeError::DeadlineExceeded)
+            } else {
+                Err(ServeError::ShutDown)
+            }),
         }
     }
 }
@@ -1819,6 +1730,11 @@ mod tests {
         Alphabet::protein().encode(&generate_exact(len, seed).seq)
     }
 
+    /// Block for an admitted request's hits.
+    fn served(admitted: Result<PendingQuery, ServeError>) -> Result<Vec<Hit>, ServeError> {
+        admitted?.wait().map(|o| o.hits)
+    }
+
     #[test]
     fn serves_queries_correctly() {
         let db = tiny_db();
@@ -1827,7 +1743,7 @@ mod tests {
         });
         let client = server.client();
         let q = enc(30, 7);
-        let hits = client.query(q.clone(), 3).expect("server is up");
+        let hits = served(client.submit(q.clone(), 3, None)).expect("server is up");
         assert_eq!(hits.len(), 3);
 
         // Compare against a direct search.
@@ -1855,7 +1771,7 @@ mod tests {
             for i in 0..8 {
                 let c = client.clone();
                 scope.spawn(move || {
-                    let hits = c.query(enc(25, i), 1).expect("server is up");
+                    let hits = served(c.submit(enc(25, i), 1, None)).expect("server is up");
                     assert_eq!(hits.len(), 1);
                 });
             }
@@ -1882,7 +1798,7 @@ mod tests {
         );
         let client = server.client();
         // Would wait forever without the timeout.
-        let hits = client.query(enc(20, 3), 2).expect("server is up");
+        let hits = served(client.submit(enc(20, 3), 2, None)).expect("server is up");
         assert_eq!(hits.len(), 2);
         let stats = server.shutdown();
         assert_eq!(stats.full_batches, 0);
@@ -1895,7 +1811,7 @@ mod tests {
             Aligner::builder().matrix(blosum62())
         });
         let client = server.client();
-        let h = std::thread::spawn(move || client.query(enc(15, 1), 1));
+        let h = std::thread::spawn(move || served(client.submit(enc(15, 1), 1, None)));
         std::thread::sleep(Duration::from_millis(5));
         let stats = server.shutdown();
         let hits = h
@@ -1914,10 +1830,14 @@ mod tests {
         });
         let client = server.client();
         let _ = server.shutdown();
-        assert_eq!(client.query(enc(10, 2), 1), Err(ServeError::ShutDown));
-        assert_eq!(client.try_query(enc(10, 2), 1), Err(ServeError::ShutDown));
         assert_eq!(
-            client.query_with_deadline(enc(10, 2), 1, Duration::from_millis(50)),
+            served(client.submit(enc(10, 2), 1, None)),
+            Err(ServeError::ShutDown)
+        );
+        assert_eq!(
+            served(
+                client.send(Request::new(enc(10, 2), 1).with_timeout(Duration::from_millis(50)))
+            ),
             Err(ServeError::ShutDown)
         );
     }
@@ -1930,7 +1850,7 @@ mod tests {
         });
         let client = server.client();
         let bad = vec![1u8, 200, 3];
-        match client.query(bad, 1) {
+        match served(client.submit(bad, 1, None)) {
             Err(ServeError::InvalidQuery(AlignError::InvalidResidue { position, value })) => {
                 assert_eq!((position, value), (1, 200));
             }
@@ -1952,23 +1872,21 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        match client.query(enc(64, 3), 1) {
+        match served(client.submit(enc(64, 3), 1, None)) {
             Err(ServeError::QueryTooLarge { len, limit }) => {
                 assert_eq!((len, limit), (64, 16));
             }
             other => panic!("expected QueryTooLarge, got {other:?}"),
         }
-        // All entry points share the admission path.
+        // A deadline does not bypass admission.
         assert!(matches!(
-            client.try_query(enc(64, 4), 1),
-            Err(ServeError::QueryTooLarge { .. })
-        ));
-        assert!(matches!(
-            client.query_with_deadline(enc(64, 5), 1, Duration::from_millis(50)),
+            served(
+                client.send(Request::new(enc(64, 5), 1).with_timeout(Duration::from_millis(50)))
+            ),
             Err(ServeError::QueryTooLarge { .. })
         ));
         // A query inside the quota still works.
-        let hits = client.query(enc(10, 6), 1).expect("within quota");
+        let hits = served(client.submit(enc(10, 6), 1, None)).expect("within quota");
         assert_eq!(hits.len(), 1);
         let stats = server.shutdown();
         assert_eq!(stats.queries, 1, "oversized queries never reach the worker");
@@ -2023,10 +1941,10 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        let hits = client.query(q.clone(), 5).expect("degraded, not dead");
+        let hits = served(client.submit(q.clone(), 5, None)).expect("degraded, not dead");
         assert_eq!(hits, want, "scalar retry stays exact");
         // Second query: fault budget exhausted, fast path again.
-        let hits2 = client.query(q, 5).expect("server is up");
+        let hits2 = served(client.submit(q, 5, None)).expect("server is up");
         assert_eq!(hits2, want);
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 1);
@@ -2051,7 +1969,7 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        let hits = client.query(q, 0).expect("degraded, not dead");
+        let hits = served(client.submit(q, 0, None)).expect("degraded, not dead");
         assert_eq!(hits, want);
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 0, "poison is not a panic");
@@ -2084,7 +2002,7 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        let hits = client.query(q.clone(), 0).expect("server is up");
+        let hits = served(client.submit(q.clone(), 0, None)).expect("server is up");
         assert_eq!(hits, want, "mismatching score repaired before reply");
         let line = server.health_line();
         assert!(line.contains("shadow_checks=24"), "{line}");
@@ -2144,7 +2062,9 @@ mod tests {
         );
         let client = server.client();
         let start = Instant::now();
-        let r = client.query_with_deadline(enc(20, 4), 1, Duration::from_millis(30));
+        let r = served(
+            client.send(Request::new(enc(20, 4), 1).with_timeout(Duration::from_millis(30))),
+        );
         let elapsed = start.elapsed();
         assert_eq!(r, Err(ServeError::DeadlineExceeded));
         assert!(
@@ -2155,60 +2075,104 @@ mod tests {
         assert!(stats.timeouts >= 1, "{stats:?}");
     }
 
-    #[test]
-    fn full_queue_sheds_with_typed_error() {
-        let db = tiny_db();
+    /// Start a server whose every job computes for `delay`, admit one
+    /// plug job and wait until the worker has dequeued it, so every
+    /// request sent next waits behind the plug's compute.
+    fn plugged(cfg: ServerConfig, delay: Duration) -> (BatchServer, ServerClient, PendingQuery) {
         let server = BatchServer::start(
-            db,
+            tiny_db(),
             ServerConfig {
                 batch_size: 1,
                 max_wait: Duration::from_millis(1),
-                queue_depth: 1,
-                // Keep the worker busy so the queue backs up.
-                fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(100)),
-                ..Default::default()
+                fault_plan: FaultPlan::new().delay_at(0, delay),
+                ..cfg
             },
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        // Background clients keep the worker and the 1-slot lane busy;
-        // they loop because a full lane sheds blocking queries too.
-        let stop = Arc::new(AtomicBool::new(false));
-        let bg: Vec<_> = (0..3)
-            .map(|i| {
-                let c = client.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    for n in 0..2000u64 {
-                        if stop.load(Relaxed) {
-                            break;
-                        }
-                        let _ = c.query(enc(15, i * 1000 + n), 1);
-                    }
-                })
-            })
-            .collect();
-        // With a full lane, try_query must shed rather than block, and
-        // the typed error must carry a usable backoff hint.
-        let mut shed = false;
-        for i in 0..50 {
-            match client.try_query(enc(15, 100 + i), 1) {
-                Err(ServeError::QueueFull { retry_after_ms }) => {
-                    assert!(retry_after_ms >= 1, "shed must carry a backoff hint");
-                    shed = true;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) => panic!("unexpected error {e:?}"),
+        let plug = client.submit(enc(15, 1), 1, None).expect("plug admitted");
+        let t0 = Instant::now();
+        while server.queue_depth() > 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "plug never picked up"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        (server, client, plug)
+    }
+
+    #[test]
+    fn full_queue_sheds_with_typed_error() {
+        let (server, client, plug) = plugged(
+            ServerConfig {
+                queue_depth: 1,
+                ..Default::default()
+            },
+            Duration::from_millis(100),
+        );
+        // The filler takes the single lane slot behind the plug.
+        let filler = client.submit(enc(15, 2), 1, None).expect("filler admitted");
+        // With a full lane, send must shed rather than block, and the
+        // typed error must carry a usable backoff hint.
+        match client.submit(enc(15, 3), 1, None) {
+            Err(ServeError::QueueFull { retry_after_ms }) => {
+                assert!(retry_after_ms >= 1, "shed must carry a backoff hint");
             }
+            other => panic!("expected QueueFull, got {:?}", other.map(|_| ())),
         }
-        stop.store(true, Relaxed);
-        assert!(shed, "try_query never shed under sustained load");
-        for h in bg {
-            h.join().expect("client thread");
-        }
+        plug.wait().expect("plug served");
+        filler.wait().expect("filler served");
         let stats = server.shutdown();
         assert!(stats.shed >= 1, "{stats:?}");
+    }
+
+    #[test]
+    fn full_transport_queue_sheds_without_blocking() {
+        // Two tenant lanes of depth 2 sum past the 2-slot transport
+        // queue, so the queue itself is the bound that trips.
+        let (server, client, plug) = plugged(
+            ServerConfig {
+                queue_depth: 2,
+                qos: QosConfig {
+                    lane_depth: 2,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            Duration::from_millis(300),
+        );
+        let tenant = |name: &str, seed: u64| Request::new(enc(15, seed), 1).with_tenant(name);
+        let a = client.send(tenant("a", 2)).expect("tenant a admitted");
+        let b = client.send(tenant("b", 3)).expect("tenant b admitted");
+        // Tenant a's lane still has room; the transport queue does not.
+        let t0 = Instant::now();
+        let refused = client.send(tenant("a", 4));
+        let waited = t0.elapsed();
+        match refused {
+            Err(ServeError::QueueFull { retry_after_ms }) => {
+                assert!(retry_after_ms >= 1, "shed must carry a backoff hint");
+            }
+            other => panic!("expected QueueFull, got {:?}", other.map(|_| ())),
+        }
+        assert!(
+            waited < Duration::from_millis(150),
+            "send blocked on the full queue for {waited:?}"
+        );
+        for p in [plug, a, b] {
+            p.wait().expect("queued job served");
+        }
+        assert_eq!(server.queue_depth(), 0, "queue gauge drained");
+        for name in ["a", "b"] {
+            assert_eq!(
+                server.qos.tenant(name).queue_depth.get(),
+                0,
+                "tenant {name} gauge drained"
+            );
+        }
+        let stats = server.shutdown();
+        assert_eq!(stats.shed, 1, "{stats:?}");
+        assert_eq!(stats.queries, 3, "{stats:?}");
     }
 
     #[test]
@@ -2219,7 +2183,7 @@ mod tests {
         });
         let client = server.client();
         for i in 0..3 {
-            client.query(enc(20, i), 1).expect("server is up");
+            served(client.submit(enc(20, i), 1, None)).expect("server is up");
         }
         let lat = server.latency();
         assert_eq!(lat.count, 3);
@@ -2258,7 +2222,7 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        client.query(enc(12, 6), 1).expect("server is up");
+        served(client.submit(enc(12, 6), 1, None)).expect("server is up");
         let _ = server.shutdown();
         let events = rec.events();
         assert!(
@@ -2287,7 +2251,7 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        let hits = client.query(q, 5).expect("reaped, retried, answered");
+        let hits = served(client.submit(q, 5, None)).expect("reaped, retried, answered");
         assert_eq!(hits, want, "scalar retry after the reap stays exact");
 
         let line = server.health_line();
@@ -2309,34 +2273,6 @@ mod tests {
     }
 
     #[test]
-    fn default_timeout_routes_plain_queries_through_deadline_machinery() {
-        let db = tiny_db();
-        let server = BatchServer::start(
-            db,
-            ServerConfig {
-                batch_size: 1,
-                max_wait: Duration::from_millis(1),
-                fault_plan: FaultPlan::new().delay_at(0, Duration::from_millis(300)),
-                default_timeout: Some(Duration::from_millis(30)),
-                ..Default::default()
-            },
-            || Aligner::builder().matrix(blosum62()),
-        );
-        let client = server.client();
-        let start = Instant::now();
-        // Plain query(), no explicit deadline: the server default kicks in.
-        let r = client.query(enc(20, 4), 1);
-        let elapsed = start.elapsed();
-        assert_eq!(r, Err(ServeError::DeadlineExceeded));
-        assert!(
-            elapsed < Duration::from_millis(250),
-            "default timeout must bound the call, took {elapsed:?}"
-        );
-        let stats = server.shutdown();
-        assert!(stats.timeouts >= 1, "{stats:?}");
-    }
-
-    #[test]
     fn cost_admission_rejects_with_typed_error() {
         let db = tiny_db();
         let residues = db.total_residues() as u64;
@@ -2349,7 +2285,7 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        match client.query(enc(64, 3), 1) {
+        match served(client.submit(enc(64, 3), 1, None)) {
             Err(ServeError::CostTooHigh { cost, limit }) => {
                 assert_eq!(cost, 64 * residues, "cost model is |q| × Σ|db|");
                 assert_eq!(limit, residues * 10);
@@ -2357,7 +2293,7 @@ mod tests {
             other => panic!("expected CostTooHigh, got {other:?}"),
         }
         // A query under the ceiling is still served.
-        let hits = client.query(enc(8, 6), 1).expect("cheap query admitted");
+        let hits = served(client.submit(enc(8, 6), 1, None)).expect("cheap query admitted");
         assert_eq!(hits.len(), 1);
         let line = server.health_line();
         assert!(line.contains("cost_rejected=1"), "{line}");
@@ -2381,7 +2317,7 @@ mod tests {
             || Aligner::builder().matrix(blosum62()),
         );
         let client = server.client();
-        match client.query(enc(30, 7), 1) {
+        match served(client.submit(enc(30, 7), 1, None)) {
             Err(ServeError::BudgetExceeded { requested, limit }) => {
                 assert_eq!(limit, 64);
                 assert!(requested > 64, "estimate must exceed the tiny budget");
@@ -2415,7 +2351,7 @@ mod tests {
         );
         let client = server.client();
         let h = std::thread::spawn(move || {
-            client.query_with_deadline(enc(20, 4), 1, Duration::from_millis(20))
+            served(client.send(Request::new(enc(20, 4), 1).with_timeout(Duration::from_millis(20))))
         });
         // Let the job reach the worker and wedge.
         std::thread::sleep(Duration::from_millis(50));
@@ -2442,7 +2378,7 @@ mod tests {
             Aligner::builder().matrix(blosum62())
         });
         let client = server.client();
-        client.query(enc(12, 5), 1).expect("server is up");
+        served(client.submit(enc(12, 5), 1, None)).expect("server is up");
         let live = server.stats();
         assert_eq!(live.queries, 1);
         let final_stats = server.shutdown();

@@ -1167,13 +1167,7 @@ fn cmd_net_query(addr: &str, query_path: &str, rest: &[String]) -> Result<(), St
     for q in &queries {
         let qe = alphabet.encode(&q.seq);
         let reply = client
-            .query_tenant(
-                &qe,
-                o.top,
-                deadline_ms as u32,
-                swsimd::obs::trace::TraceCtx::default(),
-                &tenant,
-            )
+            .send(&request(qe, o.top, &tenant, deadline_ms))
             .map_err(|e| match e.retry_after_ms() {
                 Some(ms) => format!("query {}: {e} (retry after {ms}ms)", q.id),
                 None => format!("query {}: {e}", q.id),
@@ -1198,6 +1192,20 @@ fn cmd_net_query(addr: &str, query_path: &str, rest: &[String]) -> Result<(), St
         }
     }
     Ok(())
+}
+
+/// One `swsimd query` request; `deadline_ms` 0 means no deadline.
+fn request(
+    query: Vec<u8>,
+    top_k: usize,
+    tenant: &str,
+    deadline_ms: u64,
+) -> swsimd::runner::Request {
+    let req = swsimd::runner::Request::new(query, top_k).with_tenant(tenant);
+    match deadline_ms {
+        0 => req,
+        ms => req.with_timeout(std::time::Duration::from_millis(ms)),
+    }
 }
 
 /// Streaming arm of `swsimd query`: incremental chunk delivery with
@@ -1234,14 +1242,7 @@ fn cmd_net_query_stream(
                     .map_err(|e| format!("resume {}: {e}", q.id))?
             }
             None => client
-                .stream_query_traced(
-                    &qe,
-                    o.top,
-                    deadline_ms,
-                    credit,
-                    swsimd::obs::trace::TraceCtx::default(),
-                    tenant,
-                )
+                .stream(&request(qe, o.top, tenant, u64::from(deadline_ms)), credit)
                 .map_err(|e| format!("stream {}: {e}", q.id))?,
         };
         let mut progress_drawn = false;

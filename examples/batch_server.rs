@@ -5,10 +5,11 @@
 //! throughput against one-at-a-time processing — demonstrating the
 //! paper's accumulate-then-compute recommendation.
 //!
-//! Also exercises the fault-tolerant client surface: every call returns
-//! `Result<_, ServeError>`, `query_with_deadline` bounds tail latency,
-//! and `try_query` sheds load instead of blocking when the bounded job
-//! queue is full. Final server health counters are printed at exit.
+//! Also exercises the fault-tolerant client surface: every request is
+//! one `Request` admitted by `send`, which returns
+//! `Result<_, ServeError>` and sheds load instead of blocking when the
+//! bounded job queue is full; a request deadline bounds tail latency
+//! in `wait`. Final server health counters are printed at exit.
 //!
 //! ```text
 //! cargo run --release --example batch_server [n_seqs] [n_queries]
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use swsimd::matrices::{blosum62, Alphabet};
-use swsimd::runner::{BatchServer, ServerConfig};
+use swsimd::runner::{BatchServer, Request, ServerConfig};
 use swsimd::{Aligner, ServeError};
 
 use swsimd::seq::{generate_database, generate_exact, SynthConfig};
@@ -61,15 +62,14 @@ fn main() {
         let mut handles = Vec::new();
         for q in &queries {
             let c = client.clone();
-            // A deadline bounds enqueue + compute + reply; an expired
+            // A deadline bounds queue + compute + reply; an expired
             // deadline is a typed error, not a hang.
-            handles.push(
-                scope.spawn(move || c.query_with_deadline(q.clone(), 1, Duration::from_secs(30))),
-            );
+            let req = Request::new(q.clone(), 1).with_timeout(Duration::from_secs(30));
+            handles.push(scope.spawn(move || c.send(req)?.wait()));
         }
         for h in handles {
             match h.join().expect("client thread") {
-                Ok(hits) => tops.push(hits[0].clone()),
+                Ok(outcome) => tops.push(outcome.hits[0].clone()),
                 Err(ServeError::DeadlineExceeded) => {
                     println!("query missed its deadline (kept going)")
                 }
@@ -79,18 +79,22 @@ fn main() {
     });
     let batched_secs = start.elapsed().as_secs_f64();
 
-    // Non-blocking admission: when the queue is full, try_query sheds
-    // with QueueFull instead of blocking the caller.
-    let mut admitted = 0usize;
+    // Non-blocking admission: a burst is admitted up to the queue
+    // bound and the rest is shed with QueueFull instead of blocking the
+    // caller; admitted requests are awaited afterwards.
+    let mut admitted = Vec::new();
     let mut shed = 0usize;
     for q in &queries {
-        match client.try_query(q.clone(), 1) {
-            Ok(_) => admitted += 1,
+        match client.submit(q.clone(), 1, None) {
+            Ok(pending) => admitted.push(pending),
             Err(ServeError::QueueFull { .. }) => shed += 1,
             Err(e) => panic!("server failed: {e}"),
         }
     }
-    println!("try_query burst: {admitted} admitted, {shed} shed");
+    println!("burst: {} admitted, {shed} shed", admitted.len());
+    for pending in admitted {
+        pending.wait().expect("admitted request served");
+    }
 
     let stats = server.shutdown();
     println!(

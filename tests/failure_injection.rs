@@ -158,7 +158,9 @@ mod server_faults {
     use std::time::{Duration, Instant};
 
     use swsimd::matrices::{blosum62, Alphabet};
-    use swsimd::runner::{parallel_search, BatchServer, PoolConfig, ServerConfig};
+    use swsimd::runner::{
+        parallel_search, BatchServer, PendingQuery, PoolConfig, Request, ServerConfig,
+    };
     use swsimd::seq::{generate_database, generate_exact, SynthConfig};
     use swsimd::{AlignError, Aligner, FaultPlan, ServeError};
 
@@ -178,6 +180,11 @@ mod server_faults {
 
     fn builder() -> swsimd::AlignerBuilder {
         Aligner::builder().matrix(blosum62())
+    }
+
+    /// Block for an admitted request's hits.
+    fn served(admitted: Result<PendingQuery, ServeError>) -> Result<Vec<swsimd::Hit>, ServeError> {
+        admitted?.wait().map(|o| o.hits)
     }
 
     /// Acceptance criterion: a FaultPlan-injected worker panic during a
@@ -231,7 +238,7 @@ mod server_faults {
             builder,
         );
         let client = server.client();
-        let hits = client.query(q, 4).expect("degraded, not dead");
+        let hits = served(client.submit(q, 4, None)).expect("degraded, not dead");
         assert_eq!(hits, want);
         let stats = server.shutdown();
         assert_eq!(stats.worker_panics, 1);
@@ -254,7 +261,9 @@ mod server_faults {
         );
         let client = server.client();
         let start = Instant::now();
-        let r = client.query_with_deadline(enc(30, 16), 1, Duration::from_millis(40));
+        let r = served(
+            client.send(Request::new(enc(30, 16), 1).with_timeout(Duration::from_millis(40))),
+        );
         let elapsed = start.elapsed();
         assert_eq!(r, Err(ServeError::DeadlineExceeded));
         assert!(elapsed < Duration::from_millis(350), "took {elapsed:?}");
@@ -292,7 +301,7 @@ mod server_faults {
         let filler = client
             .submit(enc(20, 31), 1, None)
             .expect("filler admitted");
-        match client.try_query(enc(20, 60), 1) {
+        match served(client.submit(enc(20, 60), 1, None)) {
             Err(ServeError::QueueFull { .. }) => {}
             other => panic!("sustained load never shed: {other:?}"),
         }
@@ -315,7 +324,7 @@ mod server_faults {
         let client = server.client();
         let inflight = {
             let c = client.clone();
-            std::thread::spawn(move || c.query(enc(25, 19), 1))
+            std::thread::spawn(move || served(c.submit(enc(25, 19), 1, None)))
         };
         std::thread::sleep(Duration::from_millis(5));
         let stats = server.shutdown();
@@ -323,9 +332,11 @@ mod server_faults {
         let hits = inflight.join().expect("client thread").expect("drained");
         assert_eq!(hits.len(), 1);
         assert_eq!(stats.queries, 1);
-        // Every entry point now reports ShutDown instead of panicking.
-        assert_eq!(client.query(enc(10, 20), 1), Err(ServeError::ShutDown));
-        assert_eq!(client.try_query(enc(10, 20), 1), Err(ServeError::ShutDown));
+        // Admission now reports ShutDown instead of panicking.
+        assert_eq!(
+            served(client.submit(enc(10, 20), 1, None)),
+            Err(ServeError::ShutDown)
+        );
     }
 
     #[test]
@@ -333,7 +344,7 @@ mod server_faults {
         let database = Arc::new(db(8, 21));
         let server = BatchServer::start(database, ServerConfig::default(), builder);
         let client = server.client();
-        match client.query(vec![0, 1, 77], 1) {
+        match served(client.submit(vec![0, 1, 77], 1, None)) {
             Err(ServeError::InvalidQuery(AlignError::InvalidResidue { position, value })) => {
                 assert_eq!((position, value), (2, 77));
             }
@@ -354,14 +365,14 @@ mod server_faults {
             builder,
         );
         let client = server.client();
-        match client.query(enc(40, 23), 1) {
+        match served(client.submit(enc(40, 23), 1, None)) {
             Err(ServeError::QueryTooLarge { len, limit }) => {
                 assert_eq!((len, limit), (40, 16));
             }
             other => panic!("expected QueryTooLarge, got {other:?}"),
         }
         assert!(
-            client.query(enc(16, 24), 1).is_ok(),
+            served(client.submit(enc(16, 24), 1, None)).is_ok(),
             "at-limit query passes"
         );
         let _ = server.shutdown();

@@ -53,7 +53,11 @@ fn hung_worker_is_reaped_and_query_still_answered_exactly() {
     );
     let client = server.client();
     let start = Instant::now();
-    let hits = client.query(q, 5).expect("reaped and retried, not hung");
+    let hits = client
+        .submit(q, 5, None)
+        .and_then(|p| p.wait())
+        .expect("reaped and retried, not hung")
+        .hits;
     assert_eq!(hits, want, "scalar retry after the reap stays exact");
     assert!(
         start.elapsed() < Duration::from_secs(5),

@@ -257,7 +257,10 @@ fn server_scrape_includes_query_latency() {
     });
     let client = server.client();
     for i in 0..4 {
-        client.query(enc(22, 10 + i), 1).expect("server is up");
+        client
+            .submit(enc(22, 10 + i), 1, None)
+            .and_then(|p| p.wait())
+            .expect("server is up");
     }
     assert_eq!(server.latency().count, 4);
     let text = server.prometheus_text();

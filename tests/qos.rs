@@ -9,10 +9,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use swsimd::matrices::{blosum62, Alphabet};
-use swsimd::obs::TraceCtx;
 use swsimd::runner::{
     parallel_search, rank_hits, BatchServer, BrownoutConfig, Fidelity, PoolConfig, QosConfig,
-    RateConfig, ServerConfig, TenantPolicy,
+    RateConfig, Request, ServerClient, ServerConfig, TenantPolicy,
 };
 use swsimd::seq::{generate_database, generate_exact, SynthConfig};
 use swsimd::{Aligner, Database, FaultPlan, Hit, ServeError, ShadowConfig};
@@ -80,6 +79,11 @@ fn wait(
     }
 }
 
+/// Send `req` and block for its hits.
+fn served(client: &ServerClient, req: Request) -> Result<Vec<Hit>, ServeError> {
+    client.send(req)?.wait().map(|o| o.hits)
+}
+
 /// Acceptance headline: two tenants offer load 10:1 into a saturated
 /// queue with equal weights. The aggressor's overflow is shed with
 /// typed errors carrying backoff hints, the well-behaved tenant keeps
@@ -122,7 +126,7 @@ fn fair_share_protects_the_well_behaved_tenant_under_overload() {
     let mut aggressor = Vec::new();
     let mut shed = 0u32;
     for _ in 0..20 {
-        match client.submit_traced_for("aggressor", q.clone(), 5, None, TraceCtx::default()) {
+        match client.send(Request::new(q.clone(), 5).with_tenant("aggressor")) {
             Ok(p) => aggressor.push(p),
             Err(ServeError::QueueFull { retry_after_ms }) => {
                 assert!(retry_after_ms >= 1, "shed without a usable hint");
@@ -138,7 +142,7 @@ fn fair_share_protects_the_well_behaved_tenant_under_overload() {
     let good: Vec<_> = (0..2)
         .map(|_| {
             client
-                .submit_traced_for("good", q.clone(), 5, None, TraceCtx::default())
+                .send(Request::new(q.clone(), 5).with_tenant("good"))
                 .expect("well-behaved tenant starved at admission")
         })
         .collect();
@@ -220,15 +224,14 @@ fn token_bucket_rate_limits_with_typed_retry_hints() {
     let client = server.client();
 
     // The burst is admitted and answered exactly.
-    let hits = client
-        .query_for("metered", q.clone(), 5)
-        .expect("burst admitted");
+    let hits =
+        served(&client, Request::new(q.clone(), 5).with_tenant("metered")).expect("burst admitted");
     assert_eq!(hits, want);
 
     // The next query exceeds the drained bucket: typed, hinted, and
     // counted under the tenant's label.
     let before = scrape_labelled("swsimd_rate_limited_total", "tenant=\"metered\"");
-    match client.query_for("metered", q.clone(), 5) {
+    match served(&client, Request::new(q.clone(), 5).with_tenant("metered")) {
         Err(ServeError::RateLimited { retry_after_ms }) => {
             assert!(retry_after_ms >= 1, "rate limit without a refill hint");
         }
@@ -240,8 +243,7 @@ fn token_bucket_rate_limits_with_typed_retry_hints() {
     );
 
     // An unmetered tenant is unaffected by the metered tenant's limit.
-    let hits = client
-        .query_for("unmetered", q.clone(), 5)
+    let hits = served(&client, Request::new(q.clone(), 5).with_tenant("unmetered"))
         .expect("unmetered tenant refused");
     assert_eq!(hits, want);
 
@@ -337,7 +339,7 @@ fn brownout_degrades_stepwise_and_recovers_with_exact_scores() {
     // watermark; the ladder steps back down (one dwell per step).
     let recovered = Instant::now();
     loop {
-        let hits = client.query(q.clone(), 5).expect("recovery query");
+        let hits = served(&client, Request::new(q.clone(), 5)).expect("recovery query");
         assert_eq!(hits, want, "wrong scores during recovery");
         if server.brownout_level() == 0 {
             break;
@@ -411,7 +413,7 @@ fn queue_depth_gauge_drains_to_zero_across_every_path() {
     let mut bursty = Vec::new();
     let mut shed = 0;
     for _ in 0..3 {
-        match client.submit_traced_for("bursty", q.clone(), 5, None, TraceCtx::default()) {
+        match client.send(Request::new(q.clone(), 5).with_tenant("bursty")) {
             Ok(p) => bursty.push(p),
             Err(ServeError::QueueFull { .. }) => shed += 1,
             Err(other) => panic!("unexpected error: {other}"),
@@ -422,14 +424,17 @@ fn queue_depth_gauge_drains_to_zero_across_every_path() {
     // Path 2: rate-limited before buffering (gauge must not move).
     let depth_before = server.queue_depth();
     assert!(matches!(
-        client.query_for("metered", q.clone(), 5),
+        served(&client, Request::new(q.clone(), 5).with_tenant("metered")),
         Err(ServeError::RateLimited { .. })
     ));
     assert_eq!(server.queue_depth(), depth_before);
 
     // Path 3: deadline expiry while queued behind the plug.
     assert_eq!(
-        client.query_with_deadline(q.clone(), 5, Duration::from_millis(10)),
+        served(
+            &client,
+            Request::new(q.clone(), 5).with_timeout(Duration::from_millis(10)),
+        ),
         Err(ServeError::DeadlineExceeded)
     );
 

@@ -90,7 +90,12 @@ fn server_matches_direct_search_under_concurrency() {
         let mut handles = Vec::new();
         for q in &queries {
             let c = client.clone();
-            handles.push(scope.spawn(move || c.query(q.clone(), 5).expect("server is up")));
+            handles.push(scope.spawn(move || {
+                c.submit(q.clone(), 5, None)
+                    .and_then(|p| p.wait())
+                    .expect("server is up")
+                    .hits
+            }));
         }
         for h in handles {
             server_results.push(h.join().unwrap());

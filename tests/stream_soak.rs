@@ -29,7 +29,7 @@ use swsimd::net::{
     ranking_digest, Gateway, GatewayConfig, GatewayServer, NetClient, RetryPolicy, StreamEvent,
     Supervisor,
 };
-use swsimd::runner::{parallel_search, rank_hits, PoolConfig};
+use swsimd::runner::{parallel_search, rank_hits, PoolConfig, Request};
 use swsimd::seq::{generate_database, generate_exact, SynthConfig};
 use swsimd::{Aligner, Database, Hit};
 
@@ -51,8 +51,12 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_swsimd")
 }
 
-fn test_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("swsimd-stream-soak-{}", std::process::id()));
+/// A fresh temporary directory private to one test: the tests in this
+/// binary run concurrently, so a shared directory would let one test
+/// delete the other's files.
+fn test_dir(test: &str) -> std::path::PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("swsimd-stream-soak-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -142,7 +146,7 @@ fn scrape_value(scrape: &str, family: &str) -> u64 {
 
 #[test]
 fn interrupted_stream_resumes_to_oracle_exact_ranking() {
-    let dir = test_dir();
+    let dir = test_dir("interrupted");
     let db: Database = generate_database(&SynthConfig {
         n_seqs: 24,
         seed: 1001,
@@ -222,7 +226,7 @@ fn interrupted_stream_resumes_to_oracle_exact_ranking() {
     // ---- Session 1: stream with a tiny window, stall, get killed. ----
     let mut client = NetClient::connect(&front_addr, Duration::from_secs(5)).unwrap();
     let mut handle = client
-        .stream_query(&qe, TOP_K, 0, STALL_CREDIT)
+        .stream(&Request::new(qe.clone(), TOP_K), STALL_CREDIT)
         .expect("open stream");
     let mut chunks_seen = 0u32;
     while chunks_seen < STALL_CREDIT {
@@ -387,7 +391,7 @@ fn interrupted_stream_resumes_to_oracle_exact_ranking() {
 /// must be refused with `BadResumeToken` before any shard work starts.
 #[test]
 fn resume_with_mismatched_query_is_refused() {
-    let dir = test_dir();
+    let dir = test_dir("mismatched");
     let db: Database = generate_database(&SynthConfig {
         n_seqs: 8,
         seed: 1003,
@@ -449,7 +453,9 @@ fn resume_with_mismatched_query_is_refused() {
 
     let query = Alphabet::protein().encode(&generate_exact(30, 1004).seq);
     let mut client = NetClient::connect(&front_addr, Duration::from_secs(5)).unwrap();
-    let mut handle = client.stream_query(&query, 3, 0, 1).expect("open stream");
+    let mut handle = client
+        .stream(&Request::new(query.clone(), 3), 1)
+        .expect("open stream");
     // Pull at least one event so the stream is real, then mint a token.
     let _ = handle.next().expect("first stream event");
     let token = handle.token();

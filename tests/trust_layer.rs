@@ -146,7 +146,11 @@ fn poisoned_backend_trips_breaker_and_server_stays_exact() {
     let n_queries = u64::from(threshold) + 2;
     for i in 0..n_queries {
         let q = query(40, 0xB00 + i);
-        let served = client.query(q.clone(), db.len()).expect("server is up");
+        let served = client
+            .submit(q.clone(), db.len(), None)
+            .and_then(|p| p.wait())
+            .expect("server is up")
+            .hits;
         // Scores are engine-independent, so a clean scalar search is
         // the exact expected answer even while the server degrades.
         let reference = parallel_search(
@@ -241,7 +245,8 @@ fn record_mode_observes_without_demoting() {
     let client = server.client();
     for i in 0..5u64 {
         client
-            .query(query(30, 0xCAFE + i), 3)
+            .submit(query(30, 0xCAFE + i), 3, None)
+            .and_then(|p| p.wait())
             .expect("server is up");
     }
     let stats = server.shutdown();
