@@ -1,8 +1,10 @@
 //! Regenerate every table/figure of the paper's evaluation section.
 
+use std::path::{Path, PathBuf};
+
 use swsimd_bench::{
     ablation_batching, ablation_threshold, fig06, fig07, fig08, fig09, fig10, fig11, fig12, fig13,
-    fig14, portability, segments, Scale,
+    fig14, portability, segments, write_record, FigureRecord, Scale,
 };
 
 fn main() {
@@ -32,6 +34,9 @@ fn main() {
         out
     };
     let want = |name: &str| figs.is_empty() || figs.iter().any(|f| f == name);
+    let dir = std::env::var_os("SWSIMD_RESULTS")
+        .map(PathBuf::from)
+        .unwrap_or_else(|| PathBuf::from("results"));
 
     println!("swsimd figure harness — scale {scale:?}");
     println!(
@@ -43,51 +48,67 @@ fn main() {
     );
 
     if want("6") {
-        print_json("Fig 6  (AVX2 vs AVX-512)", &fig06(scale));
+        emit(&dir, "Fig 6  (AVX2 vs AVX-512)", &fig06(scale));
     }
     if want("7") {
-        print_json("Fig 7  (affine vs linear gaps)", &fig07(scale));
+        emit(&dir, "Fig 7  (affine vs linear gaps)", &fig07(scale));
     }
     if want("8") {
-        print_json("Fig 8  (traceback on/off)", &fig08(scale));
+        emit(&dir, "Fig 8  (traceback on/off)", &fig08(scale));
     }
     if want("9") {
-        print_json(
+        emit(
+            &dir,
             "Fig 9  (substitution matrix on/off + bit widths)",
             &fig09(scale),
         );
     }
     if want("10") {
-        print_json("Fig 10 (GA hyperparameter tuning)", &fig10(scale));
+        emit(&dir, "Fig 10 (GA hyperparameter tuning)", &fig10(scale));
     }
     if want("11") {
-        print_json("Fig 11 (thread scaling)", &fig11(scale));
+        emit(&dir, "Fig 11 (thread scaling)", &fig11(scale));
     }
     if want("12") {
-        print_json("Fig 12 (top-down pipeline analysis)", &fig12(scale));
+        emit(&dir, "Fig 12 (top-down pipeline analysis)", &fig12(scale));
     }
     if want("13") {
-        print_json("Fig 13 (usage scenarios)", &fig13(scale));
+        emit(&dir, "Fig 13 (usage scenarios)", &fig13(scale));
     }
     if want("14") {
-        print_json("Fig 14 (vs Parasail baselines)", &fig14(scale));
+        emit(&dir, "Fig 14 (vs Parasail baselines)", &fig14(scale));
     }
     if want("segments") {
-        print_json("§III-B (segment census)", &segments(scale));
+        emit(&dir, "§III-B (segment census)", &segments(scale));
     }
     if want("portability") {
-        print_json("Portability (contribution vi)", &portability(scale));
+        emit(&dir, "Portability (contribution vi)", &portability(scale));
     }
     if want("ablations") {
-        print_json("Ablation (scalar threshold)", &ablation_threshold(scale));
-        print_json("Ablation (batch sorting)", &ablation_batching(scale));
+        emit(
+            &dir,
+            "Ablation (scalar threshold)",
+            &ablation_threshold(scale),
+        );
+        emit(&dir, "Ablation (batch sorting)", &ablation_batching(scale));
     }
-    println!("\nrecords written under results/");
+    println!("\nrecords written under {}/", dir.display());
 }
 
-fn print_json(title: &str, v: &serde_json::Value) {
-    println!("== {title} ==");
-    println!("{}\n", serde_json::to_string_pretty(v).unwrap());
+/// Print one record's series and write it under `dir`.
+fn emit(dir: &Path, heading: &str, rec: &FigureRecord) {
+    println!("== {heading} ==");
+    println!("{}\n", serde_json::to_string_pretty(&rec.series).unwrap());
+    match write_record(dir, rec) {
+        Ok(path) => println!("[{}] {} -> {}", rec.figure, rec.title, path.display()),
+        Err(e) => {
+            swsimd_obs::event!(
+                "figure_record_write_failed",
+                "figure" => rec.figure,
+                "error" => e.to_string(),
+            );
+        }
+    }
 }
 
 /// Forwards only failure-ish instant events to stderr, so a figure

@@ -1,8 +1,9 @@
 //! Figure regeneration: one function per figure of the paper's
 //! evaluation (§IV). Each measures on this machine, projects across the
 //! modeled testbed where the paper plots multiple architectures, prints
-//! a table, and writes `results/figNN.json` (see EXPERIMENTS.md for the
-//! paper-vs-measured comparison).
+//! a table, and returns its [`FigureRecord`]; the `figures` binary
+//! writes the records to `results/figNN.json` (see EXPERIMENTS.md for
+//! the paper-vs-measured comparison).
 
 use serde_json::{json, Value};
 
@@ -25,7 +26,7 @@ use swsimd_tune::{
     KernelKnobs, QueryBucket,
 };
 
-use crate::timing::{gcups, time_per_call, write_record, FigureRecord};
+use crate::timing::{gcups, time_per_call, FigureRecord};
 use crate::workload::{Scale, Workload};
 
 fn aff() -> GapModel {
@@ -76,7 +77,7 @@ fn pairwise_gcups<F: FnMut(&[u8])>(
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 6.
-pub fn fig06(scale: Scale) -> Value {
+pub fn fig06(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let scoring = Scoring::matrix(blosum62());
     let gaps = aff();
@@ -113,8 +114,7 @@ pub fn fig06(scale: Scale) -> Value {
     }
 
     let series = json!({ "measured_host": measured, "projected": projected });
-    finish("fig06", "AVX2 vs AVX-512 performance", scale, &series);
-    series
+    record("fig06", "AVX2 vs AVX-512 performance", scale, series)
 }
 
 // ---------------------------------------------------------------------
@@ -122,7 +122,7 @@ pub fn fig06(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 7.
-pub fn fig07(scale: Scale) -> Value {
+pub fn fig07(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let mut rows = Vec::new();
     for qi in 0..w.queries.len() {
@@ -168,8 +168,7 @@ pub fn fig07(scale: Scale) -> Value {
         }));
     }
     let series = json!({ "measured_host": rows });
-    finish("fig07", "Affine vs linear gap penalty", scale, &series);
-    series
+    record("fig07", "Affine vs linear gap penalty", scale, series)
 }
 
 // ---------------------------------------------------------------------
@@ -177,7 +176,7 @@ pub fn fig07(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 8.
-pub fn fig08(scale: Scale) -> Value {
+pub fn fig08(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let scoring = Scoring::matrix(blosum62());
     let gaps = aff();
@@ -206,8 +205,7 @@ pub fn fig08(scale: Scale) -> Value {
         }));
     }
     let series = json!({ "measured_host": rows });
-    finish("fig08", "Traceback on vs off", scale, &series);
-    series
+    record("fig08", "Traceback on vs off", scale, series)
 }
 
 // ---------------------------------------------------------------------
@@ -215,7 +213,7 @@ pub fn fig08(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 9 plus the §IV-C 8-vs-16-bit ablation.
-pub fn fig09(scale: Scale) -> Value {
+pub fn fig09(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let scoring = Scoring::matrix(blosum62());
     let fixed = Scoring::Fixed {
@@ -290,13 +288,12 @@ pub fn fig09(scale: Scale) -> Value {
         }));
     }
     let series = json!({ "measured_host": rows });
-    finish(
+    record(
         "fig09",
         "With vs without substitution matrix",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -304,7 +301,7 @@ pub fn fig09(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 10.
-pub fn fig10(scale: Scale) -> Value {
+pub fn fig10(scale: Scale) -> FigureRecord {
     // Modeled GCC-flag tuning per architecture and query bucket.
     let space = gcc_space();
     let cfg = match scale {
@@ -383,13 +380,12 @@ pub fn fig10(scale: Scale) -> Value {
         "real_kernel_knobs": real,
         "phase_ordering_future_work": phase,
     });
-    finish(
+    record(
         "fig10",
         "Performance improvement after hyperparameter tuning",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -397,7 +393,7 @@ pub fn fig10(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 11.
-pub fn fig11(scale: Scale) -> Value {
+pub fn fig11(scale: Scale) -> FigureRecord {
     // Model: per-arch speedup curves at the paper's thread points.
     let mut per_arch = Vec::new();
     for arch in ArchId::ALL {
@@ -454,13 +450,12 @@ pub fn fig11(scale: Scale) -> Value {
         "measured_host": { "available_parallelism": host_parallelism, "points": host,
                             "effective_ghz": ghz },
     });
-    finish(
+    record(
         "fig11",
         "Thread scaling with frequency recalibration",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -468,7 +463,7 @@ pub fn fig11(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 12 (a: backend split, b: slots vs threads, c: per query).
-pub fn fig12(scale: Scale) -> Value {
+pub fn fig12(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let scoring = Scoring::matrix(blosum62());
     let gaps = aff();
@@ -554,8 +549,7 @@ pub fn fig12(scale: Scale) -> Value {
         "per_query": per_query,
         "roofline": roofline,
     });
-    finish("fig12", "Top-down pipeline-slot analysis", scale, &series);
-    series
+    record("fig12", "Top-down pipeline-slot analysis", scale, series)
 }
 
 // ---------------------------------------------------------------------
@@ -563,7 +557,7 @@ pub fn fig12(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate Fig 13.
-pub fn fig13(scale: Scale) -> Value {
+pub fn fig13(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -641,13 +635,12 @@ pub fn fig13(scale: Scale) -> Value {
         "scenario3_small_sets": { "gcups": s3.throughput.gcups(), "alignments": s3.alignments },
         "batch_over_single_ratio": s2_gcups / s1_gcups.max(1e-12),
     });
-    finish(
+    record(
         "fig13",
         "Performance for different SW usage scenarios",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -664,7 +657,7 @@ pub fn fig13(scale: Scale) -> Value {
 /// * **Parasail striped** — 8-bit striped with a per-query amortized
 ///   profile and 16-bit reruns on saturation (Parasail's `sat` pattern);
 /// * **Parasail scan / diag** — 16-bit (their stable configurations).
-pub fn fig14(scale: Scale) -> Value {
+pub fn fig14(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let scoring = Scoring::matrix(blosum62());
     let gaps = aff();
@@ -774,13 +767,7 @@ pub fn fig14(scale: Scale) -> Value {
             "paper_reported": { "vs_striped": 1.5, "vs_scan": 1.9, "vs_diag": 3.9 },
         },
     });
-    finish(
-        "fig14",
-        "Ours vs Parasail scan/striped/diag",
-        scale,
-        &series,
-    );
-    series
+    record("fig14", "Ours vs Parasail scan/striped/diag", scale, series)
 }
 
 // ---------------------------------------------------------------------
@@ -788,7 +775,7 @@ pub fn fig14(scale: Scale) -> Value {
 // ---------------------------------------------------------------------
 
 /// Regenerate the §III-B short-segment census.
-pub fn segments(scale: Scale) -> Value {
+pub fn segments(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let stats = swsimd_seq::length_stats(&w.db);
     let mut rows = Vec::new();
@@ -812,13 +799,12 @@ pub fn segments(scale: Scale) -> Value {
         rows.push(json!({ "query": label, "short_cell_fraction": per_threshold }));
     }
     let series = json!({ "db_median_len": stats.median, "rows": rows });
-    finish(
+    record(
         "seg_census",
         "Short-segment cell fraction (§III-B)",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -829,7 +815,7 @@ pub fn segments(scale: Scale) -> Value {
 /// on this CPU (scalar emulation, SSE4.1, AVX2, AVX-512) — the paper's
 /// "comprehensive portability analysis" of how the methods adapt across
 /// platforms.
-pub fn portability(scale: Scale) -> Value {
+pub fn portability(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let scoring = Scoring::matrix(blosum62());
     let gaps = aff();
@@ -867,13 +853,12 @@ pub fn portability(scale: Scale) -> Value {
         }));
     }
     let series = json!({ "query": qlabel, "measured_host": rows });
-    finish(
+    record(
         "portability",
         "Kernel throughput across vector extensions",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -883,7 +868,7 @@ pub fn portability(scale: Scale) -> Value {
 /// Ablation 1: the scalar-fallback threshold (Fig 3 design choice).
 /// Sweeps the segment length below which the kernel reverts to scalar
 /// code, reporting GCUPS and the measured scalar-cell fraction.
-pub fn ablation_threshold(scale: Scale) -> Value {
+pub fn ablation_threshold(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let scoring = Scoring::matrix(blosum62());
     let gaps = aff();
@@ -921,18 +906,17 @@ pub fn ablation_threshold(scale: Scale) -> Value {
         rows.push(json!({ "query": label, "sweep": sweep }));
     }
     let series = json!({ "measured_host": rows });
-    finish(
+    record(
         "ablation_threshold",
         "Scalar-fallback threshold sweep (Fig 3 knob)",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
 /// Ablation 2: batch construction policy — length-sorted vs unsorted
 /// batches (padding-fraction vs locality trade in the Fig 5 layout).
-pub fn ablation_batching(scale: Scale) -> Value {
+pub fn ablation_batching(scale: Scale) -> FigureRecord {
     let w = Workload::standard(scale);
     let q = &w.queries[w.queries.len() / 2].1;
     let mut rows = Vec::new();
@@ -954,31 +938,20 @@ pub fn ablation_batching(scale: Scale) -> Value {
         }));
     }
     let series = json!({ "measured_host": rows });
-    finish(
+    record(
         "ablation_batching",
         "Length-sorted vs unsorted batches (Fig 5 layout)",
         scale,
-        &series,
-    );
-    series
+        series,
+    )
 }
 
-fn finish(fig: &'static str, title: &'static str, scale: Scale, series: &Value) {
-    let rec = FigureRecord {
-        figure: fig,
+fn record(figure: &'static str, title: &'static str, scale: Scale, series: Value) -> FigureRecord {
+    FigureRecord {
+        figure,
         title,
         scale: format!("{scale:?}"),
-        series: series.clone(),
-    };
-    match write_record(&rec) {
-        Ok(path) => println!("[{fig}] {title} -> {}", path.display()),
-        Err(e) => {
-            swsimd_obs::event!(
-                "figure_record_write_failed",
-                "figure" => fig,
-                "error" => e.to_string(),
-            );
-        }
+        series,
     }
 }
 
@@ -991,7 +964,7 @@ mod tests {
 
     #[test]
     fn fig06_smoke() {
-        let v = fig06(Scale::Quick);
+        let v = fig06(Scale::Quick).series;
         assert!(v["measured_host"].as_array().unwrap().len() >= 4);
         let proj = v["projected"].as_array().unwrap();
         assert_eq!(proj.len(), 2);
@@ -1003,7 +976,7 @@ mod tests {
 
     #[test]
     fn fig13_smoke() {
-        let v = fig13(Scale::Quick);
+        let v = fig13(Scale::Quick).series;
         assert!(v["scenario1_per_query"]["gcups"].as_f64().unwrap() > 0.0);
         assert!(v["scenario2_query_batch"]["gcups"].as_f64().unwrap() > 0.0);
         assert!(v["scenario3_small_sets"]["gcups"].as_f64().unwrap() > 0.0);
@@ -1011,7 +984,7 @@ mod tests {
 
     #[test]
     fn segments_census_near_paper_band() {
-        let v = segments(Scale::Quick);
+        let v = segments(Scale::Quick).series;
         // At 32 lanes the paper says roughly 15% of cells fall in short
         // segments for typical protein sizes; our census should land in
         // a generous band around that for the short/mid queries.
@@ -1022,7 +995,7 @@ mod tests {
 
     #[test]
     fn fig12_smoke() {
-        let v = fig12(Scale::Quick);
+        let v = fig12(Scale::Quick).series;
         let split = &v["backend_split"];
         assert!(
             split["with_matrix"]["core_bound"].as_f64().unwrap()

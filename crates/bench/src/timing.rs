@@ -28,7 +28,7 @@ pub fn gcups(cells: u64, secs: f64) -> f64 {
     }
 }
 
-/// One figure's machine-readable record, written to `results/`.
+/// One figure's machine-readable record, written by [`write_record`].
 pub struct FigureRecord {
     /// Figure identifier ("fig06", ...).
     pub figure: &'static str,
@@ -52,17 +52,10 @@ impl FigureRecord {
     }
 }
 
-/// Directory experiment records are written to.
-pub fn results_dir() -> PathBuf {
-    std::env::var_os("SWSIMD_RESULTS")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| Path::new("results").to_path_buf())
-}
-
-/// Write a figure record as pretty JSON; returns the path.
-pub fn write_record(rec: &FigureRecord) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+/// Write a figure record as pretty JSON to `dir/<figure>.json`,
+/// creating `dir` if needed; returns the path.
+pub fn write_record(dir: &Path, rec: &FigureRecord) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}.json", rec.figure));
     std::fs::write(&path, serde_json::to_string_pretty(&rec.to_value())?)?;
     Ok(path)
@@ -95,19 +88,18 @@ mod tests {
 
     #[test]
     fn record_roundtrip() {
-        let dir = std::env::temp_dir().join("swsimd_test_results");
-        std::env::set_var("SWSIMD_RESULTS", &dir);
+        let dir = std::env::temp_dir().join(format!("swsimd_test_results_{}", std::process::id()));
         let rec = FigureRecord {
             figure: "fig_test",
             title: "test",
             scale: "Quick".into(),
             series: serde_json::json!([1, 2, 3]),
         };
-        let path = write_record(&rec).unwrap();
+        let path = write_record(&dir, &rec).unwrap();
+        assert_eq!(path, dir.join("fig_test.json"));
         let text = std::fs::read_to_string(path).unwrap();
         assert!(text.contains("fig_test"));
         assert!(text.contains('1') && text.contains('3'));
-        std::env::remove_var("SWSIMD_RESULTS");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

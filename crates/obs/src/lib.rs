@@ -27,7 +27,9 @@
 //!
 //! Cross-process stitching: [`trace::TraceCtx`] carries a 64-bit trace
 //! id plus a parent span id across the wire; [`trace::adopt`] parents
-//! a remote process's (or thread's) spans under it, and span ids are
+//! a remote process's (or thread's) spans under it,
+//! [`trace::Handoff`] carries a caller's context into the worker
+//! threads that do part of its work, and span ids are
 //! offset by a per-process nonce so two processes in one stitched tree
 //! cannot reuse each other's ids.
 //!
@@ -44,6 +46,6 @@ pub use flight::{AuditRecord, FlightRecorder, ShardTiming, Stage, StageTiming};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{global, Counter, Gauge, Registry};
 pub use trace::{
-    adopt, current_trace, mint_id, set_sink, AdoptGuard, Event, EventKind, Recorder,
-    RecorderHandle, Sink, Span, StderrSink, TraceCtx, Value,
+    adopt, current_trace, handoff, mint_id, set_sink, AdoptGuard, Event, EventKind, Handoff,
+    Recorder, RecorderHandle, Sink, Span, StderrSink, TraceCtx, Value,
 };

@@ -163,6 +163,8 @@ static ID_BASE: OnceLock<u64> = OnceLock::new();
 thread_local! {
     static SPAN_STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
     static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
+    /// The [`Recorder`] scope this thread's work belongs to (0 = none).
+    static SCOPE: Cell<u64> = const { Cell::new(0) };
     static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Relaxed);
 }
 
@@ -282,6 +284,53 @@ impl Drop for AdoptGuard {
             });
         }
         CURRENT_TRACE.with(|t| t.set(self.prev_trace));
+    }
+}
+
+/// The calling thread's tracing context — trace id, innermost open span
+/// and [`Recorder`] scope — captured to hand to a worker thread that
+/// does part of the caller's work. A worker that [`Handoff::enter`]s
+/// it emits into the caller's trace, and a recorder the caller
+/// installed keeps its events.
+#[derive(Clone, Copy, Debug)]
+pub struct Handoff {
+    ctx: TraceCtx,
+    scope: u64,
+}
+
+/// Capture the calling thread's [`Handoff`].
+pub fn handoff() -> Handoff {
+    Handoff {
+        ctx: TraceCtx {
+            trace_id: current_trace(),
+            span_id: current_parent(),
+        },
+        scope: SCOPE.with(Cell::get),
+    }
+}
+
+impl Handoff {
+    /// Run this thread inside the captured context until the guard
+    /// drops. The trace part follows [`adopt`]: it applies only to a
+    /// traced caller.
+    pub fn enter(self) -> HandoffGuard {
+        HandoffGuard {
+            prev_scope: SCOPE.with(|s| s.replace(self.scope)),
+            _adopt: adopt(self.ctx),
+        }
+    }
+}
+
+/// RAII guard returned by [`Handoff::enter`]; restores the thread's
+/// previous context on drop.
+pub struct HandoffGuard {
+    prev_scope: u64,
+    _adopt: AdoptGuard,
+}
+
+impl Drop for HandoffGuard {
+    fn drop(&mut self) {
+        SCOPE.with(|s| s.set(self.prev_scope));
     }
 }
 
@@ -484,17 +533,21 @@ macro_rules! event {
 }
 
 /// A sink that collects events in memory — the test and debugging
-/// workhorse. Install via [`Recorder::install`], which also serializes
-/// concurrent installations so parallel tests do not observe each
+/// workhorse. Install via [`Recorder::install`], which scopes it to the
+/// installing caller's work, so parallel tests do not observe each
 /// other's events.
 #[derive(Default)]
 pub struct Recorder {
+    /// Keep only events emitted by threads working in this scope.
+    scope: u64,
     events: Mutex<Vec<Event>>,
 }
 
 impl Sink for Recorder {
     fn record(&self, event: &Event) {
-        lock_poison_ok(&self.events).push(event.clone());
+        if SCOPE.with(Cell::get) == self.scope {
+            lock_poison_ok(&self.events).push(event.clone());
+        }
     }
 }
 
@@ -503,13 +556,23 @@ static RECORDER_EXCLUSIVE: Mutex<()> = Mutex::new(());
 impl Recorder {
     /// Install a fresh recorder as the process sink; the returned
     /// handle uninstalls it on drop and holds a global lock so only
-    /// one recorder is active at a time.
+    /// one recorder is active at a time. The recorder keeps only the
+    /// installing caller's work: events emitted on this thread while
+    /// the handle lives, and on worker threads that entered a
+    /// [`Handoff`] captured from it. Other threads' events are
+    /// dropped, so concurrent tests cannot leak spans into it.
     pub fn install() -> RecorderHandle {
         let guard = lock_poison_ok(&RECORDER_EXCLUSIVE);
-        let recorder = Arc::new(Recorder::default());
+        let scope = mint_id();
+        let recorder = Arc::new(Recorder {
+            scope,
+            events: Mutex::default(),
+        });
+        let prev_scope = SCOPE.with(|s| s.replace(scope));
         set_sink(Some(recorder.clone()));
         RecorderHandle {
             recorder,
+            prev_scope,
             _guard: guard,
         }
     }
@@ -518,6 +581,8 @@ impl Recorder {
 /// Keeps a [`Recorder`] installed; uninstalls on drop.
 pub struct RecorderHandle {
     recorder: Arc<Recorder>,
+    /// The installing thread's scope before the install.
+    prev_scope: u64,
     _guard: MutexGuard<'static, ()>,
 }
 
@@ -547,6 +612,7 @@ impl RecorderHandle {
 impl Drop for RecorderHandle {
     fn drop(&mut self) {
         set_sink(None);
+        SCOPE.with(|s| s.set(self.prev_scope));
     }
 }
 
@@ -720,6 +786,25 @@ mod tests {
             .unwrap();
         assert_eq!(after.parent, 0, "adopt guard restored the stack");
         assert_eq!(after.trace, 0, "adopt guard restored the trace id");
+    }
+
+    #[test]
+    #[cfg(feature = "trace")]
+    fn recorder_keeps_only_the_installing_callers_work() {
+        let handle = Recorder::install();
+        let ctx = handoff();
+        std::thread::scope(|s| {
+            s.spawn(|| crate::event!("stranger"));
+            s.spawn(move || {
+                let _ctx = ctx.enter();
+                crate::event!("helper");
+            });
+        });
+        crate::event!("caller");
+        let events = handle.events();
+        drop(handle);
+        let names: Vec<&str> = events.iter().map(|e| e.name).collect();
+        assert_eq!(names, ["helper", "caller"]);
     }
 
     #[test]

@@ -31,7 +31,7 @@ pub use journal::{
     resume_search_file, Journal, JournalEntry, JournalError, JournalMeta, JournalSink,
     JournalWriter, ResumeStats,
 };
-pub use metrics::{query_latency, scenario_gcups, CellTimer, ServeCounters, Snapshot, Throughput};
+pub use metrics::{query_latency, scenario_gcups, CellTimer, Throughput};
 pub use msa::{pairwise_scores, upgma, GuideTree, ScoreMatrix};
 pub use pool::{parallel_pairs, parallel_search, try_parallel_search, PoolConfig, SearchOutput};
 pub use qos::{

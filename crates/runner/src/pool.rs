@@ -355,12 +355,17 @@ where
     let workers_done = AtomicBool::new(false);
 
     let mut outputs: Vec<PartitionResult> = Vec::with_capacity(parts.len());
+    // Helper threads work inside the caller's trace and recorder scope.
+    let ctx = swsimd_obs::handoff();
     std::thread::scope(|scope| {
         if let Some(stall) = cfg.stall_timeout {
             let slots = &slots;
             let workers_done = &workers_done;
             let fires = &fires;
-            scope.spawn(move || watchdog_loop(slots, stall, workers_done, fires));
+            scope.spawn(move || {
+                let _ctx = ctx.enter();
+                watchdog_loop(slots, stall, workers_done, fires)
+            });
         }
         if parts.len() == 1 {
             let range = parts[0].clone();
@@ -390,6 +395,7 @@ where
                 let slot = slots.get(part_idx).cloned();
                 let parent = cfg.cancel.as_ref();
                 handles.push(scope.spawn(move || {
+                    let _ctx = ctx.enter();
                     let g = slot.as_ref().map(|s| PartitionGovern {
                         token: &s.token,
                         retry: parent,
@@ -456,10 +462,12 @@ where
     let threads = threads.max(1);
     let chunk = pairs.len().div_ceil(threads).max(1);
     let mut scores = vec![0i32; pairs.len()];
+    let ctx = swsimd_obs::handoff();
     std::thread::scope(|scope| {
         for (slot_chunk, pair_chunk) in scores.chunks_mut(chunk).zip(pairs.chunks(chunk)) {
             let make_aligner = &make_aligner;
             scope.spawn(move || {
+                let _ctx = ctx.enter();
                 let mut aligner = make_aligner().build();
                 for (slot, (q, t)) in slot_chunk.iter_mut().zip(pair_chunk) {
                     *slot = aligner.align(q, t).score;

@@ -12,7 +12,7 @@
 //! silently degraded.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -363,14 +363,13 @@ impl Default for BrownoutConfig {
 }
 
 /// The brownout state machine. Lives on the worker thread; the current
-/// level is mirrored into a shared cell (for [`crate::BatchServer`]
-/// accessors) and the `swsimd_brownout_level` gauge on transitions.
+/// level is published to the `swsimd_brownout_level` gauge on
+/// transitions, which [`crate::BatchServer::brownout_level`] reads.
 pub struct Brownout {
     cfg: Option<BrownoutConfig>,
     ewma_ns: f64,
     level: u8,
     last_transition: Option<Instant>,
-    level_cell: Option<Arc<AtomicU8>>,
     gauge: Option<Arc<Gauge>>,
 }
 
@@ -383,14 +382,12 @@ impl Brownout {
             ewma_ns: 0.0,
             level: 0,
             last_transition: None,
-            level_cell: None,
             gauge: None,
         }
     }
 
-    /// Mirror level changes into `cell` and `gauge`.
-    pub(crate) fn publish(mut self, cell: Arc<AtomicU8>, gauge: Arc<Gauge>) -> Self {
-        self.level_cell = Some(cell);
+    /// Publish level changes to `gauge`.
+    pub(crate) fn publish(mut self, gauge: Arc<Gauge>) -> Self {
         self.gauge = Some(gauge);
         self
     }
@@ -460,9 +457,6 @@ impl Brownout {
         let from = self.level;
         self.level = to;
         self.last_transition = Some(Instant::now());
-        if let Some(cell) = &self.level_cell {
-            cell.store(to, Relaxed);
-        }
         if let Some(gauge) = &self.gauge {
             gauge.set(i64::from(to));
         }

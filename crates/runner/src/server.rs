@@ -39,24 +39,22 @@
 //! * after [`BatchServer::shutdown`], outstanding clients get
 //!   [`ServeError::ShutDown`] instead of a panic.
 //!
-//! All of it is observable through [`ServerStats`] /
-//! [`crate::metrics::ServeCounters`] and deterministically testable via
-//! [`FaultPlan`].
+//! All of it is observable through [`ServerStats`] and
+//! deterministically testable via [`FaultPlan`].
 //!
 //! ## Exposition
 //!
-//! Beyond the flat counters, every server records end-to-end query
-//! latency into an HDR histogram (`swsimd_query_latency_seconds`,
-//! labelled `scenario="server"` plus a per-server `instance`), tracks
-//! the live queue depth as a gauge, and mirrors its counters into the
-//! process-global [`swsimd_obs`] registry. Scrape them with
-//! [`BatchServer::prometheus_text`] (Prometheus text format) or
-//! [`BatchServer::json_snapshot`]; [`BatchServer::health_line`] gives
-//! a one-line human-readable summary, which the worker also emits
-//! periodically as a `server_health` trace event when
-//! [`ServerConfig::health_period`] is set. Shed, timeout, panic and
-//! degraded-retry decisions additionally emit structured trace events
-//! when a [`swsimd_obs`] sink is installed.
+//! Every server keeps its counters in one place: handles in the
+//! process-global [`swsimd_obs`] registry, labelled with a per-server
+//! `instance`. Each event bumps its handle once, and
+//! [`BatchServer::stats`], [`BatchServer::health_line`] and a scrape
+//! ([`BatchServer::prometheus_text`] in Prometheus text format,
+//! [`BatchServer::json_snapshot`] as JSON) all read those handles.
+//! The registry also holds the end-to-end query latency histogram
+//! (`swsimd_query_latency_seconds`, labelled `scenario="server"`) and
+//! the live queue-depth gauge. Shed, timeout, panic and degraded-retry
+//! decisions additionally emit structured trace events when a
+//! [`swsimd_obs`] sink is installed.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
@@ -77,7 +75,7 @@ use swsimd_obs::{Counter, Gauge, Histogram};
 use swsimd_seq::{BatchedDatabase, Database};
 
 use crate::fault::FaultPlan;
-use crate::metrics::{self, ServeCounters, Snapshot};
+use crate::metrics;
 use crate::qos::{
     tenant_label, Brownout, BrownoutConfig, Drr, Fidelity, QosConfig, QosShared, TenantShared,
 };
@@ -310,10 +308,10 @@ struct Job {
 }
 
 /// Registry-backed instruments for one server instance: the latency
-/// histogram, the live queue-depth gauge, and counter mirrors of
-/// [`ServeCounters`] so a scrape sees the same ledger. Each server
-/// gets a unique `instance` label so concurrent servers (and tests)
-/// record into disjoint series of the process-global registry.
+/// histogram, the live gauges, and the counters — the only store of
+/// every [`ServerStats`] field. Each server gets a unique `instance`
+/// label so concurrent servers (and tests) record into disjoint series
+/// of the process-global registry.
 struct ServerObs {
     /// This server's unique `instance` label value, reused for the
     /// per-tenant metric families minted on demand by [`QosShared`].
@@ -328,6 +326,7 @@ struct ServerObs {
     shed: Arc<Counter>,
     rate_limited: Arc<Counter>,
     worker_panics: Arc<Counter>,
+    degraded_batches: Arc<Counter>,
     retries: Arc<Counter>,
     journal_replays: Arc<Counter>,
     records_quarantined: Arc<Counter>,
@@ -395,6 +394,10 @@ impl ServerObs {
                 "swsimd_server_worker_panics_total",
                 "Worker panics isolated on the request path.",
             ),
+            degraded_batches: counter(
+                "swsimd_server_degraded_batches_total",
+                "Fast-path results discarded (panic, failed validation or watchdog reap).",
+            ),
             retries: counter(
                 "swsimd_server_retries_total",
                 "Degraded retries run on the scalar reference engine.",
@@ -460,7 +463,7 @@ impl ServerObs {
         })
     }
 
-    /// The labelled `swsimd_server_cancelled_total` series for `reason`.
+    /// The cancellation series labelled with `reason`.
     fn cancelled_counter(&self, reason: CancelReason) -> &Counter {
         let idx = CancelReason::ALL
             .iter()
@@ -468,20 +471,52 @@ impl ServerObs {
             .expect("ALL covers every reason");
         &self.cancelled[idx]
     }
-}
 
-/// One-line human-readable health summary: the counter [`Snapshot`]
-/// plus live queue depth and latency quantiles in milliseconds.
-fn health_line(counters: &ServeCounters, obs: &ServerObs) -> String {
-    let s: Snapshot = counters.snapshot();
-    let l = obs.latency.snapshot();
-    format!(
-        "[server] {s} depth={} p50_ms={:.2} p95_ms={:.2} p99_ms={:.2}",
-        obs.queue_depth.get(),
-        l.p50 as f64 / 1e6,
-        l.p95 as f64 / 1e6,
-        l.p99 as f64 / 1e6,
-    )
+    /// Read every counter into plain values.
+    fn stats(&self) -> ServerStats {
+        let [cancelled_deadline, cancelled_client_drop, cancelled_shutdown, cancelled_watchdog, cancelled_memory] =
+            self.cancelled.each_ref().map(|c| c.get());
+        ServerStats {
+            batches: self.batches.get(),
+            queries: self.queries.get(),
+            full_batches: self.full_batches.get(),
+            timeouts: self.timeouts.get(),
+            shed: self.shed.get(),
+            rate_limited: self.rate_limited.get(),
+            worker_panics: self.worker_panics.get(),
+            degraded_batches: self.degraded_batches.get(),
+            retries: self.retries.get(),
+            journal_replays: self.journal_replays.get(),
+            records_quarantined: self.records_quarantined.get(),
+            corrupt_images: self.corrupt_images.get(),
+            shadow_checks: self.shadow_checks.get(),
+            shadow_mismatches: self.shadow_mismatches.get(),
+            backend_demotions: self.backend_demotions.get(),
+            selftest_failures: self.selftest_failures.get(),
+            cost_rejected: self.cost_rejected.get(),
+            budget_rejected: self.budget_rejected.get(),
+            watchdog_fires: self.watchdog_fires.get(),
+            cancelled_deadline,
+            cancelled_client_drop,
+            cancelled_shutdown,
+            cancelled_watchdog,
+            cancelled_memory,
+        }
+    }
+
+    /// One-line human-readable health summary: the counters plus live
+    /// queue depth and latency quantiles in milliseconds.
+    fn health_line(&self) -> String {
+        let l = self.latency.snapshot();
+        format!(
+            "[server] {} depth={} p50_ms={:.2} p95_ms={:.2} p99_ms={:.2}",
+            self.stats(),
+            self.queue_depth.get(),
+            l.p50 as f64 / 1e6,
+            l.p95 as f64 / 1e6,
+            l.p99 as f64 / 1e6,
+        )
+    }
 }
 
 /// Channel protocol: jobs, or an explicit shutdown marker (needed
@@ -544,7 +579,6 @@ impl Request {
 #[derive(Clone)]
 pub struct ServerClient {
     tx: Sender<Msg>,
-    counters: Arc<ServeCounters>,
     obs: Arc<ServerObs>,
     max_query_len: usize,
     /// Cost-admission ceiling (estimated DP cells), if configured.
@@ -586,7 +620,6 @@ impl ServerClient {
         let cost = query.len() as u64 * self.db_residues;
         if let Some(limit) = self.max_cost {
             if cost > limit {
-                ServeCounters::bump(&self.counters.cost_rejected);
                 self.obs.cost_rejected.inc();
                 swsimd_obs::event!(
                     "query_rejected_cost",
@@ -606,7 +639,6 @@ impl ServerClient {
                 .expect("token bucket lock")
                 .try_take(cost, Instant::now());
             if let Err(retry_after_ms) = take {
-                ServeCounters::bump(&self.counters.rate_limited);
                 self.obs.rate_limited.inc();
                 shared.rate_limited.inc();
                 swsimd_obs::event!(
@@ -652,7 +684,6 @@ impl ServerClient {
     /// typed refusal carrying the worker's queue-delay backoff hint.
     fn shed(&self, tenant: &TenantShared) -> ServeError {
         let retry_after_ms = self.qos.retry_hint_ms();
-        ServeCounters::bump(&self.counters.shed);
         self.obs.shed.inc();
         tenant.shed.inc();
         swsimd_obs::event!(
@@ -699,7 +730,6 @@ impl ServerClient {
             token,
             deadline,
             phase,
-            counters: self.counters.clone(),
             obs: self.obs.clone(),
         })
     }
@@ -732,10 +762,6 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Fault-injection schedule (inert by default; see [`FaultPlan`]).
     pub fault_plan: FaultPlan,
-    /// When set, the worker emits a `server_health` trace event with a
-    /// human-readable [`health_line`]-style summary at most this often
-    /// (checked after each batch). `None` (the default) disables it.
-    pub health_period: Option<Duration>,
     /// Admission quota: queries longer than this many residues are
     /// rejected at submit time with [`ServeError::QueryTooLarge`]
     /// before any buffering — the serving-side arm of the ingestion
@@ -776,7 +802,6 @@ impl Default for ServerConfig {
             max_wait: Duration::from_millis(20),
             queue_depth: 1024,
             fault_plan: FaultPlan::default(),
-            health_period: None,
             max_query_len: usize::MAX,
             shadow: ShadowConfig::default(),
             max_cost: None,
@@ -788,11 +813,103 @@ impl Default for ServerConfig {
     }
 }
 
-/// Statistics the server keeps about its batching and degradation
-/// behaviour — an alias for [`crate::metrics::Snapshot`], which owns
-/// the field set and the single-line `Display` form (see
-/// [`crate::metrics::ServeCounters`] for the live, shared ledger).
-pub type ServerStats = Snapshot;
+/// Plain-value copy of one server's counters, read from the registry
+/// handles a scrape reads: each field is the server's
+/// `swsimd_server_<field>_total` series, except that the `cancelled_*`
+/// fields are the cancellation series labelled with their `reason`.
+/// `Display` renders the `key=value` form that opens
+/// [`BatchServer::health_line`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServerStats {
+    /// Batches processed.
+    pub batches: u64,
+    /// Queries served (a reply was computed).
+    pub queries: u64,
+    /// Batches that filled to `batch_size` before the wait expired.
+    pub full_batches: u64,
+    /// Queries that hit their deadline before a result arrived.
+    pub timeouts: u64,
+    /// Queries shed because a tenant lane or the job queue was full.
+    pub shed: u64,
+    /// Queries refused at admission by a tenant's token bucket.
+    pub rate_limited: u64,
+    /// Worker panics isolated on the request path.
+    pub worker_panics: u64,
+    /// Fast-path results discarded (panic, failed validation or
+    /// watchdog reap).
+    pub degraded_batches: u64,
+    /// Degraded retries run on the scalar reference engine.
+    pub retries: u64,
+    /// Searches resumed from a journal instead of recomputed.
+    pub journal_replays: u64,
+    /// Malformed ingest records quarantined (skip-record policy).
+    pub records_quarantined: u64,
+    /// Database images rejected for failed integrity checks.
+    pub corrupt_images: u64,
+    /// Served hits recomputed on the scalar reference by shadow
+    /// verification.
+    pub shadow_checks: u64,
+    /// Shadow-verified hits whose served score disagreed with the
+    /// reference.
+    pub shadow_mismatches: u64,
+    /// Circuit-breaker openings: a backend crossed its strike
+    /// threshold and was demoted.
+    pub backend_demotions: u64,
+    /// Backends that failed the boot self-test battery.
+    pub selftest_failures: u64,
+    /// Queries rejected at admission for excessive estimated cost.
+    pub cost_rejected: u64,
+    /// Queries rejected by the per-query memory budget.
+    pub budget_rejected: u64,
+    /// Wedged workers reaped by the stall watchdog.
+    pub watchdog_fires: u64,
+    /// Work cancelled: deadline expired mid-compute.
+    pub cancelled_deadline: u64,
+    /// Work cancelled: requesting client went away.
+    pub cancelled_client_drop: u64,
+    /// Work cancelled: server shutdown.
+    pub cancelled_shutdown: u64,
+    /// Work cancelled: stall watchdog.
+    pub cancelled_watchdog: u64,
+    /// Work cancelled: memory-budget enforcement.
+    pub cancelled_memory: u64,
+}
+
+impl std::fmt::Display for ServerStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let fields = [
+            ("batches", self.batches),
+            ("queries", self.queries),
+            ("full_batches", self.full_batches),
+            ("timeouts", self.timeouts),
+            ("shed", self.shed),
+            ("rate_limited", self.rate_limited),
+            ("worker_panics", self.worker_panics),
+            ("degraded_batches", self.degraded_batches),
+            ("retries", self.retries),
+            ("journal_replays", self.journal_replays),
+            ("records_quarantined", self.records_quarantined),
+            ("corrupt_images", self.corrupt_images),
+            ("shadow_checks", self.shadow_checks),
+            ("shadow_mismatches", self.shadow_mismatches),
+            ("backend_demotions", self.backend_demotions),
+            ("selftest_failures", self.selftest_failures),
+            ("cost_rejected", self.cost_rejected),
+            ("budget_rejected", self.budget_rejected),
+            ("watchdog_fires", self.watchdog_fires),
+            ("cancelled_deadline", self.cancelled_deadline),
+            ("cancelled_client_drop", self.cancelled_client_drop),
+            ("cancelled_shutdown", self.cancelled_shutdown),
+            ("cancelled_watchdog", self.cancelled_watchdog),
+            ("cancelled_memory", self.cancelled_memory),
+        ];
+        for (i, (key, value)) in fields.into_iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{key}={value}")?;
+        }
+        Ok(())
+    }
+}
 
 /// Shared slot the worker publishes its in-flight job's cancel token
 /// into, so the stall watchdog can observe kernel heartbeats from
@@ -839,12 +956,7 @@ impl WorkerWatch {
 /// for `stall`. The cancelled worker unwedges at its next cooperative
 /// check; [`WorkerCtx::run_job`] then files the trust strike and
 /// retries on the scalar reference.
-fn server_watchdog(
-    watch: Arc<WorkerWatch>,
-    stall: Duration,
-    counters: Arc<ServeCounters>,
-    obs: Arc<ServerObs>,
-) {
+fn server_watchdog(watch: Arc<WorkerWatch>, stall: Duration, obs: Arc<ServerObs>) {
     let poll = (stall / 4).clamp(Duration::from_millis(1), Duration::from_millis(25));
     // (generation, last heartbeat, when it last advanced)
     let mut last: Option<(u64, u64, Instant)> = None;
@@ -861,8 +973,6 @@ fn server_watchdog(
         match last {
             Some((g, b, since)) if g == gen && b == beat => {
                 if since.elapsed() >= stall && token.cancel(CancelReason::Watchdog) {
-                    ServeCounters::bump(&counters.watchdog_fires);
-                    counters.record_cancel(CancelReason::Watchdog);
                     obs.watchdog_fires.inc();
                     obs.cancelled_counter(CancelReason::Watchdog).inc();
                     swsimd_obs::event!(
@@ -893,16 +1003,12 @@ pub struct BatchServer {
     worker: Option<std::thread::JoinHandle<()>>,
     watchdog: Option<std::thread::JoinHandle<()>>,
     watch: Arc<WorkerWatch>,
-    counters: Arc<ServeCounters>,
     obs: Arc<ServerObs>,
     max_query_len: usize,
     max_cost: Option<u64>,
     db_residues: u64,
     server_cancel: CancelToken,
     qos: Arc<QosShared>,
-    /// Worker-published brownout level, mirrored for
-    /// [`BatchServer::brownout_level`].
-    brownout_level: Arc<AtomicU8>,
 }
 
 impl BatchServer {
@@ -920,38 +1026,29 @@ impl BatchServer {
         F: Fn() -> AlignerBuilder + Send + 'static,
     {
         let (tx, rx): (Sender<Msg>, Receiver<Msg>) = bounded(cfg.queue_depth.max(1));
-        let counters = Arc::new(ServeCounters::default());
         let obs = ServerObs::new();
         let failed = swsimd_core::selftest::boot().failed_engines().len() as u64;
-        if failed > 0 {
-            counters.selftest_failures.fetch_add(failed, Relaxed);
-            obs.selftest_failures.add(failed);
-        }
+        obs.selftest_failures.add(failed);
         let max_query_len = cfg.max_query_len;
         let max_cost = cfg.max_cost;
         let db_residues = db.total_residues() as u64;
         let server_cancel = CancelToken::new();
         let qos = QosShared::new(cfg.qos.clone(), &obs.instance, cfg.queue_depth);
-        let brownout_level = Arc::new(AtomicU8::new(0));
         let watch = WorkerWatch::new();
         let watchdog = cfg.stall_timeout.map(|stall| {
             let watch = watch.clone();
-            let counters = counters.clone();
             let obs = obs.clone();
-            std::thread::spawn(move || server_watchdog(watch, stall, counters, obs))
+            std::thread::spawn(move || server_watchdog(watch, stall, obs))
         });
-        let worker_counters = counters.clone();
         let worker_obs = obs.clone();
         let worker_watch = watch.clone();
         let worker_qos = qos.clone();
-        let brownout =
-            Brownout::new(cfg.brownout).publish(brownout_level.clone(), obs.brownout_level.clone());
+        let brownout = Brownout::new(cfg.brownout).publish(obs.brownout_level.clone());
         let worker = std::thread::spawn(move || {
             let mut ctx = WorkerCtx::new(
                 db,
                 &cfg,
                 make_aligner,
-                worker_counters,
                 worker_obs,
                 worker_watch,
                 worker_qos,
@@ -964,7 +1061,6 @@ impl BatchServer {
             let mut lanes: Drr<Job> = Drr::new(cfg.qos.quantum);
             let mut pending: Vec<Job> = Vec::with_capacity(cfg.batch_size);
             let mut shutting_down = false;
-            let mut last_health = Instant::now();
 
             while !shutting_down {
                 // Wait for work: anything already laned, else block on
@@ -1012,15 +1108,6 @@ impl BatchServer {
                     }
                 }
                 ctx.process_batch(&mut pending);
-                if let Some(period) = cfg.health_period {
-                    if last_health.elapsed() >= period {
-                        last_health = Instant::now();
-                        swsimd_obs::event!(
-                            "server_health",
-                            "line" => health_line(&ctx.counters, &ctx.obs)
-                        );
-                    }
-                }
             }
             // Drain jobs that raced with the shutdown marker — both
             // the channel and whatever the lanes still hold.
@@ -1046,14 +1133,12 @@ impl BatchServer {
             worker: Some(worker),
             watchdog,
             watch,
-            counters,
             obs,
             max_query_len,
             max_cost,
             db_residues,
             server_cancel,
             qos,
-            brownout_level,
         }
     }
 
@@ -1079,7 +1164,6 @@ impl BatchServer {
     pub fn client(&self) -> ServerClient {
         ServerClient {
             tx: self.client_tx.clone(),
-            counters: self.counters.clone(),
             obs: self.obs.clone(),
             max_query_len: self.max_query_len,
             max_cost: self.max_cost,
@@ -1089,32 +1173,27 @@ impl BatchServer {
         }
     }
 
-    /// Record a journal-replay recovery into the ledger and the
-    /// registry mirror. Called by boot/recovery paths that resume a
-    /// search from a journal before (or while) serving.
+    /// Record a journal-replay recovery into the ledger. Called by
+    /// boot/recovery paths that resume a search from a journal before
+    /// (or while) serving.
     pub fn note_journal_replay(&self) {
-        ServeCounters::bump(&self.counters.journal_replays);
         self.obs.journal_replays.inc();
     }
 
     /// Record `n` quarantined ingest records (e.g. from the
     /// `IngestReport` of the database load that booted this server).
     pub fn note_records_quarantined(&self, n: u64) {
-        self.counters
-            .records_quarantined
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
         self.obs.records_quarantined.add(n);
     }
 
     /// Record a database image rejected for failed integrity checks.
     pub fn note_corrupt_image(&self) {
-        ServeCounters::bump(&self.counters.corrupt_images);
         self.obs.corrupt_images.inc();
     }
 
     /// Live snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
-        self.counters.snapshot()
+        self.obs.stats()
     }
 
     /// Prometheus text-format scrape of the process-global registry:
@@ -1133,7 +1212,7 @@ impl BatchServer {
     /// One-line human-readable health summary (counters, queue depth,
     /// latency quantiles in milliseconds).
     pub fn health_line(&self) -> String {
-        health_line(&self.counters, &self.obs)
+        self.obs.health_line()
     }
 
     /// Point-in-time snapshot of this server's end-to-end query
@@ -1150,7 +1229,7 @@ impl BatchServer {
     /// Current brownout degradation level (0 = full fidelity; see
     /// [`Fidelity`] for what each level suspends).
     pub fn brownout_level(&self) -> u8 {
-        self.brownout_level.load(Relaxed)
+        self.obs.brownout_level.get() as u8
     }
 
     /// Shut down: stop accepting, drain, and return the final stats.
@@ -1158,7 +1237,7 @@ impl BatchServer {
     /// on later use.
     pub fn shutdown(mut self) -> ServerStats {
         self.stop();
-        self.counters.snapshot()
+        self.obs.stats()
     }
 
     /// Shared shutdown path for [`BatchServer::shutdown`] and `Drop`.
@@ -1204,7 +1283,6 @@ struct WorkerCtx<F> {
     plan: FaultPlan,
     shadow: ShadowVerifier,
     batch_size: usize,
-    counters: Arc<ServeCounters>,
     obs: Arc<ServerObs>,
     /// Per-query memory accounting ([`ServerConfig::mem_budget`]).
     budget: Option<MemBudget>,
@@ -1218,7 +1296,8 @@ struct WorkerCtx<F> {
     /// Shared QoS state: the worker publishes its queue-delay EWMA
     /// here so admission can derive shed retry hints from it.
     qos: Arc<QosShared>,
-    /// Brownout controller (worker-owned; level mirrored outward).
+    /// Brownout controller (worker-owned; level published to the
+    /// brownout gauge).
     brownout: Brownout,
     /// Was shadow verification configured at all? Keeps the level-1
     /// fidelity marker honest: suspending sampling that never ran
@@ -1227,12 +1306,10 @@ struct WorkerCtx<F> {
 }
 
 impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring ServerConfig
     fn new(
         db: Arc<Database>,
         cfg: &ServerConfig,
         make_aligner: F,
-        counters: Arc<ServeCounters>,
         obs: Arc<ServerObs>,
         watch: Arc<WorkerWatch>,
         qos: Arc<QosShared>,
@@ -1253,7 +1330,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             plan: cfg.fault_plan.clone(),
             shadow: ShadowVerifier::new(cfg.shadow),
             batch_size: cfg.batch_size,
-            counters,
             obs,
             budget,
             cups_ewma: 0.0,
@@ -1290,10 +1366,8 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             return;
         }
         let _batch = swsimd_obs::span!("server_batch", "jobs" => pending.len());
-        ServeCounters::bump(&self.counters.batches);
         self.obs.batches.inc();
         if pending.len() >= self.batch_size {
-            ServeCounters::bump(&self.counters.full_batches);
             self.obs.full_batches.inc();
         }
         for (slot, job) in pending.drain(..).enumerate() {
@@ -1324,13 +1398,11 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
                         "remaining_ms" => remaining.as_millis() as u64,
                         "estimated_ms" => est.as_millis() as u64
                     );
-                    ServeCounters::bump(&self.counters.timeouts);
                     self.obs.timeouts.inc();
                     let _ = job.reply.send(Err(ServeError::DeadlineExceeded));
                     continue;
                 }
             }
-            ServeCounters::bump(&self.counters.queries);
             self.obs.queries.inc();
             job.phase.store(PHASE_COMPUTING, Release);
             self.watch.begin(&job.cancel);
@@ -1374,7 +1446,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             if job.reply.send(result).is_err() && was_ok {
                 // The client stopped listening after we paid for the
                 // answer — account it as a client-drop cancellation.
-                self.counters.record_cancel(CancelReason::ClientDrop);
                 self.obs.cancelled_counter(CancelReason::ClientDrop).inc();
             }
         }
@@ -1460,7 +1531,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             Some(b) => match b.try_reserve(swsimd_core::govern::score_bytes(query.len(), 4)) {
                 Ok(r) => Some(r),
                 Err(e) => {
-                    ServeCounters::bump(&self.counters.budget_rejected);
                     self.obs.budget_rejected.inc();
                     swsimd_obs::event!("job_rejected_budget", "slot" => slot);
                     return Err(e.into());
@@ -1495,15 +1565,8 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
                         .verify_hits(query, &self.db, &mut hits, &self.make_aligner)
                 };
                 if out.checks > 0 {
-                    self.counters.shadow_checks.fetch_add(out.checks, Relaxed);
                     self.obs.shadow_checks.add(out.checks);
-                    self.counters
-                        .shadow_mismatches
-                        .fetch_add(out.mismatches, Relaxed);
                     self.obs.shadow_mismatches.add(out.mismatches);
-                    self.counters
-                        .backend_demotions
-                        .fetch_add(out.demotions, Relaxed);
                     self.obs.backend_demotions.add(out.demotions);
                 }
                 let engine = swsimd_core::trust::effective_engine(self.aligner.engine()).name();
@@ -1520,7 +1583,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             // client is gone or going; surface the typed error, no
             // retry.
             Ok(Err(AlignError::Cancelled { reason })) => {
-                self.counters.record_cancel(reason);
                 self.obs.cancelled_counter(reason).inc();
                 swsimd_obs::event!(
                     "job_cancelled",
@@ -1540,7 +1602,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
         // result: isolate it, record it, and recompute this job on the
         // scalar reference engine (exact scores, degraded throughput).
         if panicked {
-            ServeCounters::bump(&self.counters.worker_panics);
             self.obs.worker_panics.inc();
             swsimd_obs::event!("worker_panic", "slot" => slot);
         }
@@ -1549,12 +1610,10 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             // that computed it; enough strikes open the trust breaker.
             let engine = swsimd_core::trust::effective_engine(self.aligner.engine());
             if swsimd_core::trust::global().record_strike(engine) {
-                ServeCounters::bump(&self.counters.backend_demotions);
                 self.obs.backend_demotions.inc();
             }
         }
-        ServeCounters::bump(&self.counters.degraded_batches);
-        ServeCounters::bump(&self.counters.retries);
+        self.obs.degraded_batches.inc();
         self.obs.retries.inc();
         swsimd_obs::event!(
             "degraded_retry",
@@ -1594,7 +1653,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
                 Ok((rank_hits(hits, top_k), EngineKind::Scalar.name(), 1))
             }
             Some(Ok(Err(AlignError::Cancelled { reason }))) => {
-                self.counters.record_cancel(reason);
                 self.obs.cancelled_counter(reason).inc();
                 Err(cancel_to_serve(reason))
             }
@@ -1615,7 +1673,6 @@ pub struct PendingQuery {
     /// The job's lifecycle phase, so an expiry is charged to the
     /// stage the job was actually in.
     phase: Arc<AtomicU8>,
-    counters: Arc<ServeCounters>,
     obs: Arc<ServerObs>,
 }
 
@@ -1659,7 +1716,6 @@ impl PendingQuery {
             // observed the same expired deadline.
             Err(_) => {
                 self.token.cancel(CancelReason::Deadline);
-                ServeCounters::bump(&self.counters.timeouts);
                 self.obs.timeouts.inc();
                 swsimd_obs::event!("deadline_exceeded", "stage" => stage_of(&self.phase));
                 Err(ServeError::DeadlineExceeded)
@@ -2208,29 +2264,6 @@ mod tests {
         assert!(line.contains("p99_ms="), "{line}");
     }
 
-    #[cfg(feature = "trace")]
-    #[test]
-    fn periodic_health_event_is_emitted() {
-        let rec = swsimd_obs::Recorder::install();
-        let db = tiny_db();
-        let server = BatchServer::start(
-            db,
-            ServerConfig {
-                health_period: Some(Duration::ZERO),
-                ..Default::default()
-            },
-            || Aligner::builder().matrix(blosum62()),
-        );
-        let client = server.client();
-        served(client.submit(enc(12, 6), 1, None)).expect("server is up");
-        let _ = server.shutdown();
-        let events = rec.events();
-        assert!(
-            events.iter().any(|e| e.name == "server_health"),
-            "no health event in {events:?}"
-        );
-    }
-
     #[test]
     fn watchdog_reaps_wedged_worker_and_answers_exactly() {
         let db = tiny_db();
@@ -2383,5 +2416,198 @@ mod tests {
         assert_eq!(live.queries, 1);
         let final_stats = server.shutdown();
         assert_eq!(final_stats.queries, 1);
+    }
+
+    #[test]
+    fn cancel_reasons_land_in_their_own_counters() {
+        let obs = ServerObs::new();
+        for reason in CancelReason::ALL {
+            obs.cancelled_counter(reason).inc();
+        }
+        obs.cancelled_counter(CancelReason::Deadline).inc();
+        let s = obs.stats();
+        assert_eq!(s.cancelled_deadline, 2);
+        assert_eq!(s.cancelled_client_drop, 1);
+        assert_eq!(s.cancelled_shutdown, 1);
+        assert_eq!(s.cancelled_watchdog, 1);
+        assert_eq!(s.cancelled_memory, 1);
+    }
+
+    /// Value of one series in a Prometheus text scrape.
+    fn scraped(text: &str, series: &str) -> u64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no series {series} in scrape"))
+            .parse()
+            .expect("counter value")
+    }
+
+    #[test]
+    fn stats_equal_their_scraped_series() {
+        let db = tiny_db();
+        let residues = db.total_residues() as u64;
+        let mut tenants = std::collections::HashMap::new();
+        tenants.insert(
+            "metered".to_string(),
+            crate::qos::TenantPolicy {
+                weight: 1,
+                rate: Some(crate::qos::RateConfig { rate: 1, burst: 1 }),
+            },
+        );
+        // The first job (the plug) stalls, then panics: it is retried
+        // on the scalar engine while later requests queue or shed.
+        let server = BatchServer::start(
+            db,
+            ServerConfig {
+                batch_size: 1,
+                max_wait: Duration::from_millis(1),
+                queue_depth: 1,
+                fault_plan: FaultPlan::new()
+                    .delay_at(0, Duration::from_millis(150))
+                    .panic_at(0, 1),
+                max_cost: Some(residues * 32),
+                qos: QosConfig {
+                    tenants,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            || Aligner::builder().matrix(blosum62()),
+        );
+        let client = server.client();
+        let plug = client.submit(enc(15, 1), 1, None).expect("plug admitted");
+        let t0 = Instant::now();
+        while server.queue_depth() > 0 {
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "plug never picked up"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let filler = client.submit(enc(15, 2), 1, None).expect("filler admitted");
+        assert!(matches!(
+            client.submit(enc(15, 3), 1, None),
+            Err(ServeError::QueueFull { .. })
+        ));
+        assert!(matches!(
+            client.send(Request::new(enc(20, 4), 1).with_tenant("metered")),
+            Err(ServeError::RateLimited { .. })
+        ));
+        assert!(matches!(
+            client.submit(enc(64, 5), 1, None),
+            Err(ServeError::CostTooHigh { .. })
+        ));
+        plug.wait().expect("plug served by the degraded retry");
+        filler.wait().expect("filler served");
+        server.note_journal_replay();
+        server.note_records_quarantined(2);
+        server.note_corrupt_image();
+        let instance = server.obs.instance.clone();
+        let stats = server.shutdown();
+        let text = swsimd_obs::global().prometheus_text();
+
+        let counter = |name: &str| scraped(&text, &format!("{name}{{instance=\"{instance}\"}}"));
+        let cancelled = |reason: &str| {
+            scraped(
+                &text,
+                &format!(
+                    "swsimd_server_cancelled_total{{instance=\"{instance}\",reason=\"{reason}\"}}"
+                ),
+            )
+        };
+        let ServerStats {
+            batches,
+            queries,
+            full_batches,
+            timeouts,
+            shed,
+            rate_limited,
+            worker_panics,
+            degraded_batches,
+            retries,
+            journal_replays,
+            records_quarantined,
+            corrupt_images,
+            shadow_checks,
+            shadow_mismatches,
+            backend_demotions,
+            selftest_failures,
+            cost_rejected,
+            budget_rejected,
+            watchdog_fires,
+            cancelled_deadline,
+            cancelled_client_drop,
+            cancelled_shutdown,
+            cancelled_watchdog,
+            cancelled_memory,
+        } = stats;
+        let pairs = [
+            (batches, counter("swsimd_server_batches_total")),
+            (queries, counter("swsimd_server_queries_total")),
+            (full_batches, counter("swsimd_server_full_batches_total")),
+            (timeouts, counter("swsimd_server_timeouts_total")),
+            (shed, counter("swsimd_server_shed_total")),
+            (rate_limited, counter("swsimd_server_rate_limited_total")),
+            (worker_panics, counter("swsimd_server_worker_panics_total")),
+            (
+                degraded_batches,
+                counter("swsimd_server_degraded_batches_total"),
+            ),
+            (retries, counter("swsimd_server_retries_total")),
+            (
+                journal_replays,
+                counter("swsimd_server_journal_replays_total"),
+            ),
+            (
+                records_quarantined,
+                counter("swsimd_server_records_quarantined_total"),
+            ),
+            (
+                corrupt_images,
+                counter("swsimd_server_corrupt_images_total"),
+            ),
+            (shadow_checks, counter("swsimd_server_shadow_checks_total")),
+            (
+                shadow_mismatches,
+                counter("swsimd_server_shadow_mismatches_total"),
+            ),
+            (
+                backend_demotions,
+                counter("swsimd_server_backend_demotions_total"),
+            ),
+            (
+                selftest_failures,
+                counter("swsimd_server_selftest_failures_total"),
+            ),
+            (cost_rejected, counter("swsimd_server_cost_rejected_total")),
+            (
+                budget_rejected,
+                counter("swsimd_server_budget_rejected_total"),
+            ),
+            (
+                watchdog_fires,
+                counter("swsimd_server_watchdog_fires_total"),
+            ),
+            (cancelled_deadline, cancelled("deadline")),
+            (cancelled_client_drop, cancelled("client_drop")),
+            (cancelled_shutdown, cancelled("shutdown")),
+            (cancelled_watchdog, cancelled("watchdog")),
+            (cancelled_memory, cancelled("memory")),
+        ];
+        for (i, (field, series)) in pairs.into_iter().enumerate() {
+            assert_eq!(field, series, "field {i} of {stats:?}");
+        }
+        // Each event kind driven above landed exactly once.
+        assert_eq!((shed, rate_limited, cost_rejected), (1, 1, 1), "{stats:?}");
+        assert_eq!(
+            (worker_panics, degraded_batches, retries),
+            (1, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!((queries, batches, full_batches), (2, 2, 2), "{stats:?}");
+        assert_eq!(
+            (journal_replays, records_quarantined, corrupt_images),
+            (1, 2, 1)
+        );
     }
 }

@@ -112,7 +112,7 @@ impl Sampler {
 }
 
 /// Per-search shadow-verification outcome, folded into
-/// [`crate::FaultStats`] / [`crate::metrics::ServeCounters`].
+/// [`crate::FaultStats`] and the batch server's [`crate::ServerStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShadowOutcome {
     /// Hits recomputed on the scalar reference.
