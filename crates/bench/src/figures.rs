@@ -429,7 +429,6 @@ pub fn fig11(scale: Scale) -> FigureRecord {
                 &w.db,
                 &swsimd_runner::PoolConfig {
                     threads,
-                    sort_batches: true,
                     ..Default::default()
                 },
                 || Aligner::builder().matrix(blosum62()),

@@ -33,9 +33,8 @@ use swsimd_matrices::Alphabet;
 use swsimd_obs::flight::{ShardTiming, Stage, StageTiming};
 use swsimd_obs::trace::{AdoptGuard, Span, TraceCtx};
 use swsimd_runner::{
-    checkpointed_search_observed, rank_hits, read_journal_file,
-    resume_checkpointed_search_observed, BatchServer, FaultPlan, Fidelity, JournalError,
-    JournalWriter, PendingQuery, PoolConfig, QueryOutcome, ServeError, ServerClient, ServerConfig,
+    durable_search, rank_hits, BatchServer, FaultPlan, Fidelity, JournalError, PendingQuery,
+    PoolConfig, QueryOutcome, ServeError, ServerClient, ServerConfig,
 };
 use swsimd_seq::{integrity::crc32, Database};
 
@@ -699,8 +698,8 @@ impl ShardShared {
     }
 }
 
-/// Submit on the durable (journaled) path: the worker runs the observed
-/// checkpointed search (resuming an existing journal first) and
+/// Submit on the durable (journaled) path: the worker runs
+/// [`durable_search`] (resuming an existing journal first) and
 /// forwards every checkpoint chunk — globalized and top-k ranked —
 /// before the final outcome. The journal file is deleted only after
 /// the outcome is computed, so any interruption leaves a resumable
@@ -751,75 +750,47 @@ fn durable_compute(
     ));
     let cfg = PoolConfig {
         threads: shared.threads,
-        sort_batches: true,
         cancel: Some(token.clone()),
         fault_plan: shared.fault.clone(),
         ..PoolConfig::default()
     };
     let factory = &shared.make_aligner;
-
-    if path.exists() {
-        if let Ok(journal) = read_journal_file(&path) {
-            match resume_checkpointed_search_observed(
-                &journal,
-                query,
-                &shared.slice_db,
-                &cfg,
-                || factory(),
-                &path,
-                on_chunk,
-            ) {
-                Ok((out, _stats)) => {
-                    if let Some(server) = lock_ok(&shared.server).as_ref() {
-                        server.note_journal_replay();
-                    }
-                    let _ = std::fs::remove_file(&path);
-                    return Ok(out.hits);
-                }
-                // Interrupted mid-resume (cancel, crash fault, real
-                // I/O): the durable resume already checkpointed its
-                // progress, so keep the journal — a crash-looping
-                // shard makes monotone progress across respawns.
-                Err(JournalError::Io(_)) => {
-                    return Err(match token.reason() {
-                        Some(CancelReason::Deadline) => ServeError::DeadlineExceeded,
-                        Some(_) => ServeError::ShutDown,
-                        None => ServeError::WorkerPanicked,
-                    });
-                }
-                // Journal/database mismatch or corruption: start over
-                // from scratch below.
-                Err(_) => {
-                    let _ = std::fs::remove_file(&path);
+    let mut run = || {
+        durable_search(
+            &path,
+            query,
+            &shared.slice_db,
+            &cfg,
+            || factory(),
+            &mut *on_chunk,
+        )
+    };
+    let result = match run() {
+        // A journal this search cannot use (another query's, a
+        // changed database, a damaged identity): start over.
+        Err(e) if !matches!(e, JournalError::Io(_)) => {
+            let _ = std::fs::remove_file(&path);
+            run()
+        }
+        result => result,
+    };
+    match result {
+        Ok((out, resumed)) => {
+            if resumed.is_some() {
+                if let Some(server) = lock_ok(&shared.server).as_ref() {
+                    server.note_journal_replay();
                 }
             }
-        } else {
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-
-    let mut writer = JournalWriter::create(&path).map_err(|_| ServeError::ShutDown)?;
-    match checkpointed_search_observed(
-        query,
-        &shared.slice_db,
-        &cfg,
-        || factory(),
-        &mut writer,
-        on_chunk,
-    ) {
-        Ok(out) => {
-            drop(writer);
-            let _ = std::fs::remove_file(&path);
             Ok(out.hits)
         }
-        Err(_) => {
-            // Interrupted (cancel, crash fault, or real I/O error):
-            // keep the journal for resume and surface the typed cause.
-            Err(match token.reason() {
-                Some(CancelReason::Deadline) => ServeError::DeadlineExceeded,
-                Some(_) => ServeError::ShutDown,
-                None => ServeError::WorkerPanicked,
-            })
-        }
+        // Interrupted (cancel, crash fault, or real I/O error): the
+        // journal keeps every checkpointed chunk, so a crash-looping
+        // shard makes monotone progress across respawns. Surface the
+        // typed cause.
+        Err(_) => Err(match token.reason() {
+            Some(CancelReason::Deadline) => ServeError::DeadlineExceeded,
+            Some(_) => ServeError::ShutDown,
+            None => ServeError::WorkerPanicked,
+        }),
     }
 }

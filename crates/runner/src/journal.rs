@@ -40,7 +40,7 @@ use swsimd_seq::integrity::crc32;
 use swsimd_seq::Database;
 
 use crate::fault::FaultStats;
-use crate::pool::{search_partition, PoolConfig, SearchOutput};
+use crate::pool::{fan_out, merge, Chunk, PoolConfig, SearchOutput};
 
 const MAGIC: &[u8; 4] = b"SWJL";
 /// Journal format version written by [`JournalWriter`].
@@ -478,6 +478,51 @@ pub fn read_journal_file(path: &Path) -> Result<Journal, JournalError> {
 // ---------------------------------------------------------------------------
 // Checkpointed search and resume.
 
+/// Search `chunks` through the pool's fan-out, handing each finished
+/// chunk to `each` in chunk order before accepting it. Returns the
+/// merge of `done` (chunks finished earlier, e.g. replayed) and the new
+/// ones. A search aborted mid-compute surfaces as an I/O error before
+/// the aborted chunk reaches `each`, so a journal written by `each`
+/// stays a clean prefix of fully computed chunks.
+fn search_chunks<F>(
+    query: &[u8],
+    db: &Database,
+    cfg: &PoolConfig,
+    make_aligner: &F,
+    chunks: &[(usize, Range<usize>)],
+    mut done: Vec<Chunk>,
+    mut each: impl FnMut(usize, &Range<usize>, &[Hit]) -> io::Result<()>,
+) -> io::Result<SearchOutput>
+where
+    F: Fn() -> AlignerBuilder + Sync,
+{
+    fan_out(query, db, cfg, make_aligner, chunks, |chunk, range, out| {
+        let out = out
+            .map_err(|e| io::Error::other(format!("search aborted before journal append: {e}")))?;
+        each(chunk, range, &out.0)?;
+        done.push(out);
+        io::Result::Ok(())
+    })?;
+    Ok(merge(done))
+}
+
+/// Append one computed chunk to `journal`, behind the fault plan's
+/// crash hook.
+fn append<S: JournalSink>(
+    journal: &mut JournalWriter<S>,
+    plan: &crate::fault::FaultPlan,
+    chunk: usize,
+    range: &Range<usize>,
+    hits: &[Hit],
+) -> io::Result<()> {
+    plan.before_journal_append()?;
+    journal.append_chunk(&JournalEntry {
+        chunk,
+        range: range.clone(),
+        hits: hits.to_vec(),
+    })
+}
+
 /// Like [`crate::parallel_search`], but journals every completed
 /// chunk durably into `journal` before finishing. If the process dies
 /// mid-search (or `journal` I/O fails — the error is propagated), the
@@ -486,7 +531,7 @@ pub fn read_journal_file(path: &Path) -> Result<Journal, JournalError> {
 ///
 /// Results are bit-identical to `parallel_search` with the same
 /// `cfg.threads`: the same partition map, the same kernels, the same
-/// deterministic merge.
+/// isolation and watchdog, the same deterministic merge.
 pub fn checkpointed_search<S, F>(
     query: &[u8],
     db: &Database,
@@ -498,106 +543,18 @@ where
     S: JournalSink,
     F: Fn() -> AlignerBuilder + Sync,
 {
-    checkpointed_search_observed(query, db, cfg, make_aligner, journal, &mut |_, _| {})
-}
-
-/// [`checkpointed_search`] with a chunk observer: `on_chunk(chunk,
-/// hits)` fires after each chunk is durably appended to the journal,
-/// in ascending contiguous chunk order (the join is in chunk order).
-/// This is the alignment point for streamed delivery — a chunk is
-/// only ever announced once it is resumable from disk.
-pub fn checkpointed_search_observed<S, F>(
-    query: &[u8],
-    db: &Database,
-    cfg: &PoolConfig,
-    make_aligner: F,
-    journal: &mut JournalWriter<S>,
-    on_chunk: &mut dyn FnMut(usize, &[Hit]),
-) -> io::Result<SearchOutput>
-where
-    S: JournalSink,
-    F: Fn() -> AlignerBuilder + Sync,
-{
     let threads = cfg.threads.max(1);
-    let meta = JournalMeta::for_search(query, db, threads);
-    journal.write_meta(&meta)?;
-    let ranges = db.partition(threads);
-    let plan = &cfg.fault_plan;
-    let shadow = crate::shadow::ShadowVerifier::new(cfg.shadow);
-
-    let mut outputs: Vec<(Vec<Hit>, KernelStats, FaultStats)> = Vec::new();
-    std::thread::scope(|scope| -> io::Result<()> {
-        let mut handles = Vec::with_capacity(ranges.len());
-        for (chunk, range) in ranges.iter().enumerate() {
-            let range = range.clone();
-            let make_aligner = &make_aligner;
-            let shadow = &shadow;
-            let cancel = cfg.cancel.clone();
-            handles.push(scope.spawn(move || {
-                // Each chunk runs under a child of the search token, so
-                // cancellation surfaces as an error *before* the chunk
-                // is appended — the journal stays a clean prefix of
-                // fully-computed chunks and resume is bit-identical.
-                let child = cancel.as_ref().map(|parent| parent.child());
-                let g = child.as_ref().map(|token| crate::pool::PartitionGovern {
-                    token,
-                    retry: cancel.as_ref(),
-                });
-                search_partition(
-                    query,
-                    db,
-                    range,
-                    chunk,
-                    plan,
-                    shadow,
-                    make_aligner,
-                    g.as_ref(),
-                )
-            }));
-        }
-        // Join in chunk order and journal each result as it lands:
-        // the journal is a clean prefix in chunk order, which keeps
-        // crash points deterministic for the harness.
-        for (chunk, handle) in handles.into_iter().enumerate() {
-            let out = match handle.join() {
-                Ok(Ok(out)) => out,
-                Ok(Err(e)) => {
-                    return Err(io::Error::other(format!(
-                        "search aborted before journal append: {e}"
-                    )))
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            plan.before_journal_append()?;
-            journal.append_chunk(&JournalEntry {
-                chunk,
-                range: ranges[chunk].clone(),
-                hits: out.0.clone(),
-            })?;
-            on_chunk(chunk, &out.0);
-            outputs.push(out);
-        }
-        Ok(())
-    })?;
-
-    Ok(merge(outputs))
-}
-
-fn merge(outputs: Vec<(Vec<Hit>, KernelStats, FaultStats)>) -> SearchOutput {
-    let mut hits = Vec::new();
-    let mut stats = KernelStats::default();
-    let mut faults = FaultStats::default();
-    for (mut h, s, f) in outputs {
-        hits.append(&mut h);
-        stats.merge(&s);
-        faults.merge(&f);
-    }
-    hits.sort_by(|a, b| b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index)));
-    SearchOutput {
-        hits,
-        stats,
-        faults,
-    }
+    journal.write_meta(&JournalMeta::for_search(query, db, threads))?;
+    let chunks: Vec<_> = db.partition(threads).into_iter().enumerate().collect();
+    search_chunks(
+        query,
+        db,
+        cfg,
+        &make_aligner,
+        &chunks,
+        Vec::new(),
+        |chunk, range, hits| append(journal, &cfg.fault_plan, chunk, range, hits),
+    )
 }
 
 /// Validate a journal's identity and every entry against the search
@@ -633,13 +590,50 @@ fn validate_journal(
     Ok(ranges)
 }
 
+/// Chunks a validated journal replays as finished results, the chunks
+/// still to compute, and the tally.
+type Replay = (Vec<Chunk>, Vec<(usize, Range<usize>)>, ResumeStats);
+
+fn replay(journal: &Journal, query: &[u8], db: &Database) -> Result<Replay, JournalError> {
+    let ranges = validate_journal(journal, query, db)?;
+    let missing: Vec<_> = ranges
+        .into_iter()
+        .enumerate()
+        .filter(|(c, _)| journal.entries.iter().all(|e| e.chunk != *c))
+        .collect();
+    let stats = ResumeStats {
+        replayed_chunks: journal.entries.len(),
+        recomputed_chunks: missing.len(),
+        replayed_hits: journal.entries.iter().map(|e| e.hits.len()).sum(),
+    };
+    swsimd_obs::event!(
+        "journal_replay",
+        "replayed_chunks" => stats.replayed_chunks,
+        "recomputed_chunks" => stats.recomputed_chunks,
+        "truncated" => journal.truncated
+    );
+    let done = journal
+        .entries
+        .iter()
+        .map(|e| {
+            (
+                e.hits.clone(),
+                KernelStats::default(),
+                FaultStats::default(),
+            )
+        })
+        .collect();
+    Ok((done, missing, stats))
+}
+
 /// Finish a search from a verified [`Journal`]: replay the journaled
 /// chunks (after validating each against the deterministic partition
 /// map) and recompute only the missing ones. The returned hits are
 /// bit-identical to an uninterrupted [`crate::parallel_search`] /
 /// [`checkpointed_search`] run; `SearchOutput::stats` covers only the
 /// recomputed chunks (replayed ones cost no cell updates — that is
-/// the point).
+/// the point). Nothing is written: see [`durable_search`] for a resume
+/// that checkpoints its own progress.
 pub fn resume_search<F>(
     journal: &Journal,
     query: &[u8],
@@ -650,235 +644,87 @@ pub fn resume_search<F>(
 where
     F: Fn() -> AlignerBuilder + Sync,
 {
-    let ranges = validate_journal(journal, query, db)?;
-
-    let replayed: Vec<usize> = journal.entries.iter().map(|e| e.chunk).collect();
-    let missing: Vec<usize> = (0..ranges.len())
-        .filter(|c| !replayed.contains(c))
-        .collect();
-    swsimd_obs::event!(
-        "journal_replay",
-        "replayed_chunks" => replayed.len(),
-        "recomputed_chunks" => missing.len(),
-        "truncated" => journal.truncated
-    );
-
-    let plan = &cfg.fault_plan;
-    let shadow = crate::shadow::ShadowVerifier::new(cfg.shadow);
-    let mut outputs: Vec<(Vec<Hit>, KernelStats, FaultStats)> = Vec::new();
-    let mut resume = ResumeStats {
-        replayed_chunks: replayed.len(),
-        recomputed_chunks: missing.len(),
-        replayed_hits: 0,
-    };
-    for e in &journal.entries {
-        resume.replayed_hits += e.hits.len();
-        outputs.push((
-            e.hits.clone(),
-            KernelStats::default(),
-            FaultStats::default(),
-        ));
-    }
-    std::thread::scope(|scope| -> Result<(), JournalError> {
-        let mut handles = Vec::with_capacity(missing.len());
-        for &chunk in &missing {
-            let range = ranges[chunk].clone();
-            let make_aligner = &make_aligner;
-            let shadow = &shadow;
-            let cancel = cfg.cancel.clone();
-            handles.push(scope.spawn(move || {
-                let child = cancel.as_ref().map(|parent| parent.child());
-                let g = child.as_ref().map(|token| crate::pool::PartitionGovern {
-                    token,
-                    retry: cancel.as_ref(),
-                });
-                search_partition(
-                    query,
-                    db,
-                    range,
-                    chunk,
-                    plan,
-                    shadow,
-                    make_aligner,
-                    g.as_ref(),
-                )
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(out)) => outputs.push(out),
-                Ok(Err(e)) => {
-                    return Err(JournalError::Io(io::Error::other(format!(
-                        "resume aborted mid-recompute: {e}"
-                    ))))
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
+    let (done, missing, stats) = replay(journal, query, db)?;
+    let out = search_chunks(query, db, cfg, &make_aligner, &missing, done, |_, _, _| {
         Ok(())
     })?;
-
-    Ok((merge(outputs), resume))
+    Ok((out, stats))
 }
 
-/// Convenience: read `path`, verify it, and resume. A journal that is
-/// unreadable or mismatched is an error — callers decide whether to
-/// fall back to a fresh [`checkpointed_search`].
-pub fn resume_search_file<F>(
-    path: &Path,
-    query: &[u8],
-    db: &Database,
-    cfg: &PoolConfig,
-    make_aligner: F,
-) -> Result<(SearchOutput, ResumeStats), JournalError>
-where
-    F: Fn() -> AlignerBuilder + Sync,
-{
-    let journal = read_journal_file(path)?;
-    resume_search(&journal, query, db, cfg, make_aligner)
-}
-
-/// Like [`resume_search`], but *durable*: recomputed chunks are
-/// checkpointed back into the journal at `path` as they complete, so
-/// a crash during the resume itself still strictly grows the
-/// checkpoint. Repeated crash/resume cycles therefore make monotone
-/// progress — each resume replays everything every earlier run
-/// finished, instead of recomputing the same tail forever.
+/// Run one search durably through the journal file at `path`, the
+/// single resume-or-start entry point:
 ///
-/// The on-disk journal is first rewritten through an atomic rename
-/// (header + meta + the validated replayed prefix land in a sibling
-/// `.tmp` file which then replaces `path`), which also sheds any torn
-/// tail record — appending after a torn frame would leave the new
-/// records unreachable to replay. A crash before the rename leaves
-/// the old journal intact; after it, the journal only ever grows.
-pub fn resume_checkpointed_search<F>(
-    journal: &Journal,
+/// * no file: a fresh [`checkpointed_search`] into `path`;
+/// * a journal of this search: a durable resume. The verified prefix
+///   is first rewritten through an atomic rename (header, meta and the
+///   replayed chunks land in a sibling `.tmp` file that then replaces
+///   `path`), which also sheds any torn tail record; recomputed chunks
+///   are then appended as they complete, so a crash during the resume
+///   still grows the checkpoint and repeated crash/resume cycles make
+///   monotone progress;
+/// * an unusable journal (unreadable identity, another search's): the
+///   typed [`JournalError`], leaving the file untouched — the caller
+///   decides whether to delete it and call again.
+///
+/// On success the file is removed and the [`ResumeStats`] say what was
+/// replayed (`None` for a fresh search). An interrupted search
+/// (cancellation, crash fault, I/O failure) returns
+/// [`JournalError::Io`] and keeps the file for the next call.
+///
+/// `on_chunk(chunk, hits)` fires for every replayed chunk, then after
+/// each computed chunk's append, in ascending contiguous chunk order —
+/// a chunk is only announced once it is resumable from disk, so
+/// `chunk + 1` is a monotone stream cursor.
+pub fn durable_search<F>(
+    path: &Path,
     query: &[u8],
     db: &Database,
     cfg: &PoolConfig,
     make_aligner: F,
-    path: &Path,
-) -> Result<(SearchOutput, ResumeStats), JournalError>
-where
-    F: Fn() -> AlignerBuilder + Sync,
-{
-    resume_checkpointed_search_observed(journal, query, db, cfg, make_aligner, path, &mut |_, _| {})
-}
-
-/// [`resume_checkpointed_search`] with a chunk observer, the resume
-/// half of streamed delivery. `on_chunk(chunk, hits)` fires for every
-/// replayed entry (immediately after the atomic rewrite — those
-/// chunks are durable by definition) and then after each recomputed
-/// chunk's append. Because a valid journal is a contiguous ascending
-/// prefix and recomputation joins in ascending order, the observer
-/// always sees ascending contiguous chunks, so `chunk + 1` is a
-/// monotone stream cursor.
-pub fn resume_checkpointed_search_observed<F>(
-    journal: &Journal,
-    query: &[u8],
-    db: &Database,
-    cfg: &PoolConfig,
-    make_aligner: F,
-    path: &Path,
     on_chunk: &mut dyn FnMut(usize, &[Hit]),
-) -> Result<(SearchOutput, ResumeStats), JournalError>
+) -> Result<(SearchOutput, Option<ResumeStats>), JournalError>
 where
     F: Fn() -> AlignerBuilder + Sync,
 {
-    let ranges = validate_journal(journal, query, db)?;
-
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    let mut writer = JournalWriter::create(&tmp)?;
-    writer.write_meta(&journal.meta)?;
-    for e in &journal.entries {
-        writer.append_chunk(e)?;
-    }
-    std::fs::rename(&tmp, path)?;
-
-    let replayed: Vec<usize> = journal.entries.iter().map(|e| e.chunk).collect();
-    let missing: Vec<usize> = (0..ranges.len())
-        .filter(|c| !replayed.contains(c))
-        .collect();
-    swsimd_obs::event!(
-        "journal_replay",
-        "replayed_chunks" => replayed.len(),
-        "recomputed_chunks" => missing.len(),
-        "truncated" => journal.truncated,
-        "durable" => true
-    );
-
-    let plan = &cfg.fault_plan;
-    let shadow = crate::shadow::ShadowVerifier::new(cfg.shadow);
-    let mut outputs: Vec<(Vec<Hit>, KernelStats, FaultStats)> = Vec::new();
-    let mut resume = ResumeStats {
-        replayed_chunks: replayed.len(),
-        recomputed_chunks: missing.len(),
-        replayed_hits: 0,
+    let (mut writer, (done, missing, stats)) = if path.exists() {
+        let journal = read_journal_file(path)?;
+        let (done, missing, stats) = replay(&journal, query, db)?;
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = std::path::PathBuf::from(tmp);
+        let mut writer = JournalWriter::create(&tmp)?;
+        writer.write_meta(&journal.meta)?;
+        for e in &journal.entries {
+            writer.append_chunk(e)?;
+        }
+        std::fs::rename(&tmp, path)?;
+        for e in &journal.entries {
+            on_chunk(e.chunk, &e.hits);
+        }
+        (writer, (done, missing, Some(stats)))
+    } else {
+        let threads = cfg.threads.max(1);
+        let mut writer = JournalWriter::create(path)?;
+        writer.write_meta(&JournalMeta::for_search(query, db, threads))?;
+        let chunks = db.partition(threads).into_iter().enumerate().collect();
+        (writer, (Vec::new(), chunks, None))
     };
-    for e in &journal.entries {
-        resume.replayed_hits += e.hits.len();
-        on_chunk(e.chunk, &e.hits);
-        outputs.push((
-            e.hits.clone(),
-            KernelStats::default(),
-            FaultStats::default(),
-        ));
-    }
-    std::thread::scope(|scope| -> Result<(), JournalError> {
-        let mut handles = Vec::with_capacity(missing.len());
-        for &chunk in &missing {
-            let range = ranges[chunk].clone();
-            let make_aligner = &make_aligner;
-            let shadow = &shadow;
-            let cancel = cfg.cancel.clone();
-            handles.push(scope.spawn(move || {
-                let child = cancel.as_ref().map(|parent| parent.child());
-                let g = child.as_ref().map(|token| crate::pool::PartitionGovern {
-                    token,
-                    retry: cancel.as_ref(),
-                });
-                search_partition(
-                    query,
-                    db,
-                    range,
-                    chunk,
-                    plan,
-                    shadow,
-                    make_aligner,
-                    g.as_ref(),
-                )
-            }));
-        }
-        // Join in missing-chunk order and checkpoint each result
-        // before accepting it, mirroring `checkpointed_search`: crash
-        // points stay deterministic and the journal stays a clean
-        // prefix of fully-computed chunks.
-        for (i, handle) in handles.into_iter().enumerate() {
-            let out = match handle.join() {
-                Ok(Ok(out)) => out,
-                Ok(Err(e)) => {
-                    return Err(JournalError::Io(io::Error::other(format!(
-                        "resume aborted mid-recompute: {e}"
-                    ))))
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            let chunk = missing[i];
-            plan.before_journal_append()?;
-            writer.append_chunk(&JournalEntry {
-                chunk,
-                range: ranges[chunk].clone(),
-                hits: out.0.clone(),
-            })?;
-            on_chunk(chunk, &out.0);
-            outputs.push(out);
-        }
-        Ok(())
-    })?;
-
-    Ok((merge(outputs), resume))
+    let out = search_chunks(
+        query,
+        db,
+        cfg,
+        &make_aligner,
+        &missing,
+        done,
+        |chunk, range, hits| {
+            append(&mut writer, &cfg.fault_plan, chunk, range, hits)?;
+            on_chunk(chunk, hits);
+            Ok(())
+        },
+    )?;
+    drop(writer);
+    let _ = std::fs::remove_file(path);
+    Ok((out, stats))
 }
 
 #[cfg(test)]
@@ -998,13 +844,12 @@ mod tests {
 
         // Crash #2: the resume itself dies one checkpoint later — a
         // different boundary than the first crash.
-        let journal = read_journal_file(&path).unwrap();
         let crash2 = PoolConfig {
             threads: 4,
             fault_plan: FaultPlan::new().crash_after_chunks(1),
             ..PoolConfig::default()
         };
-        let died = resume_checkpointed_search(&journal, &q, &db, &crash2, builder, &path);
+        let died = durable_search(&path, &q, &db, &crash2, builder, &mut |_, _| {});
         assert!(died.is_err(), "second crash must surface");
         let grown = read_journal_file(&path).unwrap();
         assert_eq!(
@@ -1014,19 +859,26 @@ mod tests {
         );
 
         // Second resume: finishes clean and matches the oracle bit
-        // for bit, replaying the work both crashed runs banked.
-        let (out, stats) =
-            resume_checkpointed_search(&grown, &q, &db, &cfg(4), builder, &path).unwrap();
+        // for bit, replaying the work both crashed runs banked. The
+        // journal is read back when the last chunk is announced (the
+        // file is removed once the search returns).
+        let mut finished = None;
+        let (out, stats) = durable_search(&path, &q, &db, &cfg(4), builder, &mut |chunk, _| {
+            if chunk + 1 == n_chunks {
+                finished = Some(read_journal_file(&path).unwrap());
+            }
+        })
+        .unwrap();
+        let stats = stats.expect("resumed from the journal");
         assert_eq!(out.hits, oracle.hits, "second resume must be bit-identical");
         assert_eq!(stats.replayed_chunks, 2);
         assert_eq!(stats.recomputed_chunks, n_chunks - 2);
-        let finished = read_journal_file(&path).unwrap();
         assert_eq!(
-            finished.entries.len(),
+            finished.unwrap().entries.len(),
             n_chunks,
             "journal holds every chunk"
         );
-        std::fs::remove_file(&path).ok();
+        assert!(!path.exists(), "a finished search removes its journal");
     }
 
     /// The durable resume's rename step sheds a torn tail record, so
@@ -1048,13 +900,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("torn.swjl");
         std::fs::write(&path, torn).unwrap();
-        let (out, _) =
-            resume_checkpointed_search(&journal, &q, &db, &cfg(3), builder, &path).unwrap();
+        let n_chunks = db.partition(3).len();
+        let mut reread = None;
+        let (out, _) = durable_search(&path, &q, &db, &cfg(3), builder, &mut |chunk, _| {
+            if chunk + 1 == n_chunks {
+                reread = Some(read_journal_file(&path).unwrap());
+            }
+        })
+        .unwrap();
         assert_eq!(out.hits, oracle.hits);
-        let reread = read_journal_file(&path).unwrap();
+        let reread = reread.unwrap();
         assert!(!reread.truncated, "rewritten journal must be clean");
-        assert_eq!(reread.entries.len(), db.partition(3).len());
-        std::fs::remove_file(&path).ok();
+        assert_eq!(reread.entries.len(), n_chunks);
     }
 
     #[test]
@@ -1159,9 +1016,74 @@ mod tests {
         let mut jw = JournalWriter::create(&path).unwrap();
         let oracle = checkpointed_search(&q, &db, &cfg(2), builder, &mut jw).unwrap();
         drop(jw);
-        let (resumed, stats) = resume_search_file(&path, &q, &db, &cfg(2), builder).unwrap();
+        let journal = read_journal_file(&path).unwrap();
+        let (resumed, stats) = resume_search(&journal, &q, &db, &cfg(2), builder).unwrap();
         assert_eq!(resumed.hits, oracle.hits);
         assert_eq!(stats.recomputed_chunks, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Journaled searches run the same stall watchdog as the pool: a
+    /// wedged chunk is reaped and recomputed exactly.
+    #[test]
+    fn checkpointed_search_honors_stall_timeout() {
+        let db = small_db(40, 33);
+        let q = Alphabet::protein().encode(b"MKVLAADTWGHK");
+        let wedged = || PoolConfig {
+            threads: 2,
+            fault_plan: FaultPlan::new().delay_at(0, std::time::Duration::from_millis(300)),
+            stall_timeout: Some(std::time::Duration::from_millis(50)),
+            ..PoolConfig::default()
+        };
+        let pooled = parallel_search(&q, &db, &wedged(), builder);
+        let mut jw = JournalWriter::new(Vec::new()).unwrap();
+        let journaled = checkpointed_search(&q, &db, &wedged(), builder, &mut jw).unwrap();
+        assert_eq!(journaled.hits, pooled.hits);
+        assert_eq!(pooled.faults.watchdog_fires, 1);
+        assert_eq!(
+            journaled.faults.watchdog_fires,
+            pooled.faults.watchdog_fires
+        );
+    }
+
+    fn temp_journal(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("swsimd-durable-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn durable_search_starts_fresh_and_removes_its_journal() {
+        let db = small_db(30, 34);
+        let q = Alphabet::protein().encode(b"MKVLAADTW");
+        let oracle = parallel_search(&q, &db, &cfg(3), builder);
+        let path = temp_journal("fresh.swjl");
+        let mut announced = Vec::new();
+        let (out, resumed) = durable_search(&path, &q, &db, &cfg(3), builder, &mut |c, _| {
+            announced.push(c)
+        })
+        .unwrap();
+        assert_eq!(out.hits, oracle.hits);
+        assert!(resumed.is_none(), "no journal to resume");
+        assert_eq!(announced, (0..db.partition(3).len()).collect::<Vec<_>>());
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn durable_search_leaves_an_unusable_journal_untouched() {
+        let db = small_db(20, 35);
+        let q = Alphabet::protein().encode(b"MKVLAADTW");
+        let path = temp_journal("foreign.swjl");
+        let mut jw = JournalWriter::create(&path).unwrap();
+        checkpointed_search(&q, &db, &cfg(2), builder, &mut jw).unwrap();
+        drop(jw);
+        let before = std::fs::read(&path).unwrap();
+        let other = Alphabet::protein().encode(b"WWWWWW");
+        let err = durable_search(&path, &other, &db, &cfg(2), builder, &mut |_, _| {});
+        assert!(matches!(err, Err(JournalError::Mismatch("query changed"))));
+        assert_eq!(std::fs::read(&path).unwrap(), before, "file untouched");
         std::fs::remove_file(&path).ok();
     }
 }

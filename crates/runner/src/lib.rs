@@ -26,10 +26,8 @@ pub mod shadow;
 
 pub use fault::{FaultPlan, FaultStats, FaultyWriter, ReplyFault};
 pub use journal::{
-    checkpointed_search, checkpointed_search_observed, read_journal, read_journal_file,
-    resume_checkpointed_search, resume_checkpointed_search_observed, resume_search,
-    resume_search_file, Journal, JournalEntry, JournalError, JournalMeta, JournalSink,
-    JournalWriter, ResumeStats,
+    checkpointed_search, durable_search, read_journal, read_journal_file, resume_search, Journal,
+    JournalEntry, JournalError, JournalMeta, JournalSink, JournalWriter, ResumeStats,
 };
 pub use metrics::{query_latency, scenario_gcups, CellTimer, Throughput};
 pub use msa::{pairwise_scores, upgma, GuideTree, ScoreMatrix};
@@ -38,7 +36,7 @@ pub use qos::{
     clamp_tenant, tenant_label, Brownout, BrownoutConfig, Fidelity, QosConfig, RateConfig,
     TenantPolicy, TokenBucket, MAX_TENANT_LEN,
 };
-pub use scenarios::{scenario1, scenario1_durable, scenario2, scenario3, ScenarioReport};
+pub use scenarios::{scenario1, scenario2, scenario3, ScenarioReport};
 pub use server::{
     rank_hits, BatchServer, PendingQuery, QueryOutcome, Request, ServeError, ServerClient,
     ServerConfig, ServerStats,

@@ -1,30 +1,37 @@
 //! Database-partitioned parallel search.
 //!
 //! The paper's threading model (§IV-E, §IV-G): "each thread handles a
-//! different segment of the database". A query (or batch of queries)
-//! is aligned against residue-balanced database partitions on scoped
-//! threads, each with its own [`Aligner`] (kernels are stateless apart
-//! from stats, which are merged afterwards).
+//! different segment of the database". A query is aligned against
+//! residue-balanced database partitions on scoped threads, each with
+//! its own [`Aligner`] over its own range of the
+//! batch layout (kernels are stateless apart from stats, which are
+//! merged afterwards).
+//!
+//! This module holds the only partition fan-out, the only worker
+//! isolation policy and the only stall watchdog. [`try_parallel_search`]
+//! and the journaled searches in [`crate::journal`] are thin callers
+//! of the fan-out; the batch server calls `isolate` and `Watchdog`
+//! directly with its persistent aligner and layout.
 //!
 //! ## Worker isolation
 //!
 //! A panic inside one partition's kernel must not take down the whole
 //! search: each worker's fast path runs under `catch_unwind` and its
-//! result is validated (one hit per partition sequence). On a panic or
-//! a failed validation the partition is recomputed **once** on the
-//! scalar reference engine — scores stay exact, only throughput
-//! degrades — and the event is counted in [`SearchOutput::faults`]. A
-//! panic on the degraded retry itself is a double fault and is
-//! propagated to the caller.
+//! result is validated (one hit per partition sequence). On a panic, a
+//! failed validation or a watchdog reap the partition is recomputed
+//! **once** on the scalar reference engine — scores stay exact, only
+//! throughput degrades — and the event is counted in
+//! [`SearchOutput::faults`]. A panic on the degraded retry itself is a
+//! double fault and is propagated to the caller.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use swsimd_core::{
-    AlignError, AlignerBuilder, CancelReason, CancelToken, EngineKind, Hit, KernelStats,
+    AlignError, Aligner, AlignerBuilder, CancelReason, CancelToken, EngineKind, Hit, KernelStats,
 };
 use swsimd_seq::{BatchedDatabase, Database};
 
@@ -36,8 +43,6 @@ use crate::shadow::{ShadowConfig, ShadowVerifier};
 pub struct PoolConfig {
     /// Worker threads (1 = run inline on the caller).
     pub threads: usize,
-    /// Sort each partition's sequences by length before batching.
-    pub sort_batches: bool,
     /// Fault-injection schedule (inert by default; see [`FaultPlan`]).
     pub fault_plan: FaultPlan,
     /// Sampled shadow verification of served hits against the scalar
@@ -62,7 +67,6 @@ impl Default for PoolConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            sort_batches: true,
             fault_plan: FaultPlan::default(),
             shadow: ShadowConfig::default(),
             cancel: None,
@@ -82,195 +86,300 @@ pub struct SearchOutput {
     pub faults: FaultStats,
 }
 
-fn db_alphabet() -> &'static swsimd_matrices::Alphabet {
-    use std::sync::OnceLock;
-    static A: OnceLock<swsimd_matrices::Alphabet> = OnceLock::new();
-    A.get_or_init(swsimd_matrices::Alphabet::protein)
+/// One finished chunk: globally indexed hits plus its kernel and fault
+/// ledgers.
+pub(crate) type Chunk = (Vec<Hit>, KernelStats, FaultStats);
+
+/// How an isolated search ended: `Err` is a double fault (the scalar
+/// retry panicked too) carrying the panic payload; inside, either the
+/// accepted hits plus the caller's payload, or the typed error that
+/// stopped the search.
+pub(crate) type Isolated<T> = std::thread::Result<Result<(Vec<Hit>, T), AlignError>>;
+
+/// The stall watchdog. Each slot holds the token of one in-flight
+/// computation; [`Watchdog::run`] polls their kernel heartbeats and
+/// cancels any token whose heartbeat has not advanced for the stall
+/// timeout with [`CancelReason::Watchdog`]. The pool uses one slot per
+/// chunk for the length of a search, the batch server one slot for its
+/// lifetime.
+pub(crate) struct Watchdog {
+    /// Per slot: a generation bumped on every publish, so a new token
+    /// starts a fresh stall clock, and the token under observation.
+    slots: Vec<Mutex<(u64, Option<CancelToken>)>>,
+    stop: AtomicBool,
 }
 
-/// Run `f` over the sub-database covering `range` (borrowing the whole
-/// database when the range covers it, to avoid a copy).
-fn with_sub_db<R>(db: &Database, range: &Range<usize>, f: impl FnOnce(&Database) -> R) -> R {
-    if range.start == 0 && range.end == db.len() {
-        f(db)
-    } else {
-        let records: Vec<_> = range.clone().map(|i| db.record(i).clone()).collect();
-        let sub = Database::from_records(records, db_alphabet());
-        f(&sub)
+impl Watchdog {
+    pub(crate) fn new(slots: usize) -> Self {
+        Self {
+            slots: (0..slots).map(|_| Mutex::new((0, None))).collect(),
+            stop: AtomicBool::new(false),
+        }
     }
-}
 
-fn search_sub<F>(
-    query: &[u8],
-    db: &Database,
-    range: &Range<usize>,
-    builder: F,
-    token: Option<&CancelToken>,
-) -> Result<(Vec<Hit>, KernelStats), AlignError>
-where
-    F: FnOnce() -> AlignerBuilder,
-{
-    let mut aligner = builder().build();
-    with_sub_db(db, range, |sub| {
-        let lanes = swsimd_core::batch::lanes_for(aligner.engine());
-        let batched = BatchedDatabase::build(sub, lanes, true);
-        let hits = aligner.try_search_batched(query, sub, &batched, token)?;
-        Ok((hits, aligner.stats().clone()))
-    })
-}
+    fn publish(&self, slot: usize, token: Option<&CancelToken>) {
+        let mut s = self.slots[slot].lock().expect("watchdog slot");
+        *s = (s.0 + 1, token.cloned());
+    }
 
-/// Per-partition governance handles.
-pub(crate) struct PartitionGovern<'a> {
-    /// Token the fast path runs under (a per-worker child).
-    pub token: &'a CancelToken,
-    /// Token a post-watchdog scalar retry runs under (the parent), if
-    /// any — the worker token is already cancelled at that point.
-    pub retry: Option<&'a CancelToken>,
-}
+    /// Observe `token` in `slot` from now on.
+    pub(crate) fn watch(&self, slot: usize, token: &CancelToken) {
+        self.publish(slot, Some(token));
+    }
 
-/// One worker's watchdog slot: the token whose heartbeat the watchdog
-/// observes, plus a completion flag so finished workers are skipped.
-struct WatchSlot {
-    token: CancelToken,
-    done: AtomicBool,
-}
+    /// Stop observing `slot`: its computation finished.
+    pub(crate) fn clear(&self, slot: usize) {
+        self.publish(slot, None);
+    }
 
-/// Poll worker heartbeats until all workers finish; cancel any live
-/// worker whose heartbeat has not advanced for `stall`. A worker that
-/// never enters the kernel (wedged before its first strip) stalls from
-/// the watchdog's first observation, so a pre-kernel hang is reaped on
-/// the same clock as a mid-kernel one.
-fn watchdog_loop(slots: &[Arc<WatchSlot>], stall: Duration, done: &AtomicBool, fires: &AtomicU64) {
-    let poll = (stall / 4)
-        .max(Duration::from_millis(1))
-        .min(Duration::from_millis(25));
-    let start = Instant::now();
-    let mut seen: Vec<(u64, Instant)> =
-        slots.iter().map(|s| (s.token.heartbeat(), start)).collect();
-    while !done.load(Ordering::Acquire) {
-        std::thread::sleep(poll);
-        let now = Instant::now();
-        for (slot, last) in slots.iter().zip(seen.iter_mut()) {
-            if slot.done.load(Ordering::Acquire) || slot.token.is_cancelled() {
-                continue;
-            }
-            let hb = slot.token.heartbeat();
-            if hb != last.0 {
-                *last = (hb, now);
-            } else if now.duration_since(last.1) >= stall
-                && slot.token.cancel(CancelReason::Watchdog)
-            {
-                fires.fetch_add(1, Ordering::Relaxed);
-                swsimd_obs::event!(
-                    "watchdog_fire",
-                    "stalled_ms" => now.duration_since(last.1).as_millis() as u64
-                );
+    /// Make [`Watchdog::run`] return at its next poll.
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+    }
+
+    /// Poll until stopped, reaping every watched token whose heartbeat
+    /// has not advanced for `stall`. A computation wedged before its
+    /// first kernel strip stalls from the first observation, so a
+    /// pre-kernel hang is reaped on the same clock as a mid-kernel one.
+    pub(crate) fn run(&self, stall: Duration) {
+        let poll = (stall / 4).clamp(Duration::from_millis(1), Duration::from_millis(25));
+        // Per slot: (generation, heartbeat, when it last advanced).
+        let mut seen: Vec<Option<(u64, u64, Instant)>> = vec![None; self.slots.len()];
+        while !self.stop.load(Ordering::Acquire) {
+            std::thread::sleep(poll);
+            let now = Instant::now();
+            for (slot, last) in self.slots.iter().zip(seen.iter_mut()) {
+                let slot = slot.lock().expect("watchdog slot");
+                // A token already cancelled (by the watchdog, or by its
+                // parent) is being torn down, not wedged.
+                let (gen, Some(token)) = (slot.0, slot.1.as_ref().filter(|t| !t.is_cancelled()))
+                else {
+                    *last = None;
+                    continue;
+                };
+                let beat = token.heartbeat();
+                match *last {
+                    Some((g, b, since)) if g == gen && b == beat => {
+                        let stalled = now.duration_since(since);
+                        if stalled >= stall && token.cancel(CancelReason::Watchdog) {
+                            swsimd_obs::event!(
+                                "watchdog_fire",
+                                "stalled_ms" => stalled.as_millis() as u64
+                            );
+                        }
+                    }
+                    _ => *last = Some((gen, beat, now)),
+                }
             }
         }
     }
 }
 
-/// What one partition worker hands back: globally-indexed hits plus
-/// the kernel and fault ledgers, or the typed error that stopped it.
-pub(crate) type PartitionResult = Result<(Vec<Hit>, KernelStats, FaultStats), AlignError>;
+/// Stops a [`Watchdog`] when dropped, so an early return or a
+/// propagated double fault cannot leave its loop running.
+struct StopOnDrop<'a>(&'a Watchdog);
 
-/// One partition's search with isolation: fast path under
-/// `catch_unwind` + result validation, then a single degraded retry on
-/// the scalar reference engine. Returns globally-indexed hits. Shared
-/// with [`crate::journal`], whose checkpointed/resumed chunks must go
-/// through the exact same compute path to stay bit-identical.
-#[allow(clippy::too_many_arguments)] // internal seam; callers are the pool and the journal only
-pub(crate) fn search_partition<F>(
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.stop();
+    }
+}
+
+/// The one worker-isolation policy, shared by the pool, the journal
+/// and the batch server. `chunk` is the unit [`FaultPlan`] targets;
+/// `expected` the hit count a valid result carries; `engine` the
+/// backend `fast` computes on, which takes the trust strike.
+///
+/// * a validated `fast` result is accepted;
+/// * a watchdog reap, a panic or a wrong hit count is counted and
+///   recomputed once by `retry` on the scalar engine; a reap or a
+///   panic also files a trust strike;
+/// * a cooperative cancel (or any other typed error) is returned with
+///   no retry.
+///
+/// `fast` must run under a child of the token `retry` runs under, so
+/// the watchdog can reap it without cancelling the retry. The returned
+/// [`FaultStats`] count the events even when the retry fails.
+pub(crate) fn isolate<T>(
+    chunk: usize,
+    plan: &FaultPlan,
+    expected: usize,
+    engine: EngineKind,
+    fast: impl FnOnce() -> Result<(Vec<Hit>, T), AlignError>,
+    retry: impl FnOnce() -> Result<(Vec<Hit>, T), AlignError>,
+) -> (FaultStats, Isolated<T>) {
+    let fast = catch_unwind(AssertUnwindSafe(|| {
+        plan.before_partition(chunk);
+        fast().map(|(mut hits, extra)| {
+            plan.corrupt_hits(chunk, &mut hits);
+            plan.skew_hits(chunk, &mut hits);
+            (hits, extra)
+        })
+    }));
+    let (panicked, reaped) = match fast {
+        Ok(Ok((hits, extra))) if hits.len() == expected => {
+            return (FaultStats::default(), Ok(Ok((hits, extra))))
+        }
+        Ok(Err(AlignError::Cancelled {
+            reason: CancelReason::Watchdog,
+        })) => (false, true),
+        Ok(Err(e)) => return (FaultStats::default(), Ok(Err(e))),
+        Ok(Ok(_)) => (false, false),
+        Err(_) => (true, false),
+    };
+    let mut faults = FaultStats {
+        worker_panics: panicked as u64,
+        watchdog_fires: reaped as u64,
+        degraded_batches: 1,
+        retries: 1,
+        ..FaultStats::default()
+    };
+    // A kernel panic or stall is a strike against the backend that
+    // computed it; enough strikes open the trust breaker.
+    if (panicked || reaped)
+        && swsimd_core::trust::global().record_strike(swsimd_core::trust::effective_engine(engine))
+    {
+        faults.backend_demotions = 1;
+    }
+    swsimd_obs::event!(
+        "partition_degraded",
+        "partition" => chunk,
+        "panicked" => panicked,
+        "reaped" => reaped,
+        "engine" => "scalar"
+    );
+    (faults, catch_unwind(AssertUnwindSafe(retry)))
+}
+
+/// Search one chunk of the database under isolation, then shadow
+/// verify it. The fast path runs under `token`, the scalar retry under
+/// `parent`.
+#[allow(clippy::too_many_arguments)] // private seam of the fan-out
+fn search_chunk<F>(
     query: &[u8],
     db: &Database,
-    range: Range<usize>,
-    part_idx: usize,
-    plan: &FaultPlan,
+    chunk: usize,
+    range: &Range<usize>,
+    cfg: &PoolConfig,
     shadow: &ShadowVerifier,
     make_aligner: &F,
-    govern: Option<&PartitionGovern<'_>>,
-) -> PartitionResult
+    token: &CancelToken,
+    parent: &CancelToken,
+) -> Result<Chunk, AlignError>
 where
     F: Fn() -> AlignerBuilder + Sync,
 {
-    let expected = range.len();
-    let token = govern.map(|g| g.token);
-    let fast = catch_unwind(AssertUnwindSafe(|| {
-        plan.before_partition(part_idx);
-        search_sub(query, db, &range, make_aligner, token).map(|(mut hits, stats)| {
-            plan.corrupt_hits(part_idx, &mut hits);
-            plan.skew_hits(part_idx, &mut hits);
-            (hits, stats)
-        })
-    }));
-
-    let mut faults = FaultStats::default();
-    let (mut hits, stats) = match fast {
-        Ok(Ok((hits, stats))) if hits.len() == expected => (hits, stats),
-        Ok(Err(AlignError::Cancelled {
-            reason: CancelReason::Watchdog,
-        })) => {
-            // The watchdog reaped this worker mid-compute: file a
-            // strike against the engine that wedged and recompute on
-            // the scalar reference, governed only by the parent token
-            // (this worker's own token is already dead).
-            let engine = swsimd_core::trust::effective_engine(make_aligner().build().engine());
-            if swsimd_core::trust::global().record_strike(engine) {
-                faults.backend_demotions += 1;
-            }
-            faults.degraded_batches += 1;
-            faults.retries += 1;
-            swsimd_obs::event!(
-                "partition_reaped",
-                "partition" => part_idx,
-                "engine" => "scalar"
-            );
-            search_sub(
-                query,
-                db,
-                &range,
-                || make_aligner().engine(EngineKind::Scalar),
-                govern.and_then(|g| g.retry),
-            )?
-        }
-        // Cooperative cancellation (deadline, shutdown, client drop,
-        // memory): the whole search is being torn down — no retry.
-        Ok(Err(e)) => return Err(e),
-        outcome => {
-            // The fast path panicked or returned a malformed result:
-            // isolate it and recompute this partition on the scalar
-            // reference engine (exact, engine-independent scores).
-            if outcome.is_err() {
-                faults.worker_panics += 1;
-                // A kernel panic is a strike against the backend that
-                // computed it; enough strikes open the trust breaker.
-                let engine = swsimd_core::trust::effective_engine(make_aligner().build().engine());
-                if swsimd_core::trust::global().record_strike(engine) {
-                    faults.backend_demotions += 1;
-                }
-            }
-            faults.degraded_batches += 1;
-            faults.retries += 1;
-            swsimd_obs::event!(
-                "partition_degraded",
-                "partition" => part_idx,
-                "panicked" => outcome.is_err(),
-                "engine" => "scalar"
-            );
-            search_sub(
-                query,
-                db,
-                &range,
-                || make_aligner().engine(EngineKind::Scalar),
-                token,
-            )?
-        }
+    let search = |mut aligner: Aligner, token: &CancelToken| {
+        let lanes = swsimd_core::batch::lanes_for(aligner.engine());
+        let batched = BatchedDatabase::build_range(db, range.clone(), lanes, true);
+        let hits = aligner.try_search_batched(query, db, &batched, Some(token))?;
+        Ok((hits, aligner.stats().clone()))
     };
-    for h in &mut hits {
-        h.db_index += range.start;
-    }
+    let aligner = make_aligner().build();
+    let engine = aligner.engine();
+    let (mut faults, outcome) = isolate(
+        chunk,
+        &cfg.fault_plan,
+        range.len(),
+        engine,
+        || search(aligner, token),
+        || search(make_aligner().engine(EngineKind::Scalar).build(), parent),
+    );
+    // Double fault: nothing left to degrade to — propagate.
+    let (mut hits, stats) = outcome.unwrap_or_else(|payload| resume_unwind(payload))?;
     faults.record_shadow(&shadow.verify_hits(query, db, &mut hits, make_aligner));
     Ok((hits, stats, faults))
+}
+
+/// The partition fan-out: search each `(chunk, range)` of `chunks` on
+/// its own scoped worker (inline when there is only one), each under a
+/// per-chunk child of [`PoolConfig::cancel`], with the stall watchdog
+/// running whenever [`PoolConfig::stall_timeout`] is set. Results are
+/// joined in `chunks` order and handed to `take` as each lands; the
+/// first error `take` returns ends the fan-out.
+pub(crate) fn fan_out<F, E>(
+    query: &[u8],
+    db: &Database,
+    cfg: &PoolConfig,
+    make_aligner: &F,
+    chunks: &[(usize, Range<usize>)],
+    mut take: impl FnMut(usize, &Range<usize>, Result<Chunk, AlignError>) -> Result<(), E>,
+) -> Result<(), E>
+where
+    F: Fn() -> AlignerBuilder + Sync,
+{
+    // One sampler across all chunks, so the configured rate holds over
+    // the whole search rather than per chunk.
+    let shadow = ShadowVerifier::new(cfg.shadow);
+    let parent = cfg.cancel.clone().unwrap_or_default();
+    let watchdog = Watchdog::new(chunks.len());
+    let run = |slot: usize| {
+        let (chunk, range) = &chunks[slot];
+        let token = parent.child();
+        watchdog.watch(slot, &token);
+        let out = search_chunk(
+            query,
+            db,
+            *chunk,
+            range,
+            cfg,
+            &shadow,
+            make_aligner,
+            &token,
+            &parent,
+        );
+        watchdog.clear(slot);
+        out
+    };
+    // Helper threads work inside the caller's trace and recorder scope.
+    let ctx = swsimd_obs::handoff();
+    std::thread::scope(|scope| {
+        if let Some(stall) = cfg.stall_timeout {
+            let watchdog = &watchdog;
+            scope.spawn(move || {
+                let _ctx = ctx.enter();
+                watchdog.run(stall)
+            });
+        }
+        let _stop = StopOnDrop(&watchdog);
+        if let [(chunk, range)] = chunks {
+            return take(*chunk, range, run(0));
+        }
+        let run = &run;
+        let handles: Vec<_> = (0..chunks.len())
+            .map(|slot| {
+                scope.spawn(move || {
+                    let _ctx = ctx.enter();
+                    run(slot)
+                })
+            })
+            .collect();
+        for ((chunk, range), handle) in chunks.iter().zip(handles) {
+            let out = handle
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload));
+            take(*chunk, range, out)?;
+        }
+        Ok(())
+    })
+}
+
+/// Merge chunk results into one best-first [`SearchOutput`].
+pub(crate) fn merge(chunks: Vec<Chunk>) -> SearchOutput {
+    let mut hits = Vec::new();
+    let mut stats = KernelStats::default();
+    let mut faults = FaultStats::default();
+    for (mut h, s, f) in chunks {
+        hits.append(&mut h);
+        stats.merge(&s);
+        faults.merge(&f);
+    }
+    hits.sort_by(|a, b| b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index)));
+    SearchOutput {
+        hits,
+        stats,
+        faults,
+    }
 }
 
 /// Search one encoded query against a database with `cfg.threads`
@@ -314,143 +423,21 @@ where
     F: Fn() -> AlignerBuilder + Sync,
 {
     let threads = cfg.threads.max(1);
-    let plan = &cfg.fault_plan;
-    // One sampler across all partitions, so the configured rate holds
-    // over the whole search rather than per partition.
-    let shadow = ShadowVerifier::new(cfg.shadow);
     let mut sp = swsimd_obs::span!(
         "parallel_search",
         "threads" => threads,
         "db_seqs" => db.len()
     );
-
-    let parts: Vec<Range<usize>> = if threads == 1 || db.len() <= 1 {
-        std::iter::once(0..db.len()).collect()
-    } else {
-        db.partition(threads)
-    };
-
-    // Watchdog slots exist whenever the search is governed: a parent
-    // token alone still wants per-worker children (so a cancelled
-    // parent stops all workers), and a stall timeout alone still wants
-    // per-worker heartbeats.
-    let governed = cfg.cancel.is_some() || cfg.stall_timeout.is_some();
-    let slots: Vec<Arc<WatchSlot>> = if governed {
-        parts
-            .iter()
-            .map(|_| {
-                Arc::new(WatchSlot {
-                    token: match &cfg.cancel {
-                        Some(parent) => parent.child(),
-                        None => CancelToken::new(),
-                    },
-                    done: AtomicBool::new(false),
-                })
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let fires = AtomicU64::new(0);
-    let workers_done = AtomicBool::new(false);
-
-    let mut outputs: Vec<PartitionResult> = Vec::with_capacity(parts.len());
-    // Helper threads work inside the caller's trace and recorder scope.
-    let ctx = swsimd_obs::handoff();
-    std::thread::scope(|scope| {
-        if let Some(stall) = cfg.stall_timeout {
-            let slots = &slots;
-            let workers_done = &workers_done;
-            let fires = &fires;
-            scope.spawn(move || {
-                let _ctx = ctx.enter();
-                watchdog_loop(slots, stall, workers_done, fires)
-            });
-        }
-        if parts.len() == 1 {
-            let range = parts[0].clone();
-            let g = slots.first().map(|s| PartitionGovern {
-                token: &s.token,
-                retry: cfg.cancel.as_ref(),
-            });
-            outputs.push(search_partition(
-                query,
-                db,
-                range,
-                0,
-                plan,
-                &shadow,
-                &make_aligner,
-                g.as_ref(),
-            ));
-            if let Some(s) = slots.first() {
-                s.done.store(true, Ordering::Release);
-            }
-        } else {
-            let mut handles = Vec::with_capacity(parts.len());
-            for (part_idx, range) in parts.iter().enumerate() {
-                let range = range.clone();
-                let make_aligner = &make_aligner;
-                let shadow = &shadow;
-                let slot = slots.get(part_idx).cloned();
-                let parent = cfg.cancel.as_ref();
-                handles.push(scope.spawn(move || {
-                    let _ctx = ctx.enter();
-                    let g = slot.as_ref().map(|s| PartitionGovern {
-                        token: &s.token,
-                        retry: parent,
-                    });
-                    let out = search_partition(
-                        query,
-                        db,
-                        range,
-                        part_idx,
-                        plan,
-                        shadow,
-                        make_aligner,
-                        g.as_ref(),
-                    );
-                    if let Some(s) = &slot {
-                        s.done.store(true, Ordering::Release);
-                    }
-                    out
-                }));
-            }
-            for h in handles {
-                match h.join() {
-                    Ok(out) => outputs.push(out),
-                    // Double fault (degraded retry panicked too):
-                    // nothing left to degrade to — propagate.
-                    Err(payload) => {
-                        workers_done.store(true, Ordering::Release);
-                        std::panic::resume_unwind(payload)
-                    }
-                }
-            }
-        }
-        workers_done.store(true, Ordering::Release);
-    });
-
-    let mut hits = Vec::with_capacity(db.len());
-    let mut stats = KernelStats::default();
-    let mut faults = FaultStats {
-        watchdog_fires: fires.load(Ordering::Relaxed),
-        ..FaultStats::default()
-    };
-    for out in outputs {
-        let (mut h, s, f) = out?;
-        hits.append(&mut h);
-        stats.merge(&s);
-        faults.merge(&f);
-    }
-    hits.sort_by(|a, b| b.score.cmp(&a.score).then(a.db_index.cmp(&b.db_index)));
-    sp.record("cells", stats.cells);
-    sp.record("retries", faults.retries);
-    Ok(SearchOutput {
-        hits,
-        stats,
-        faults,
-    })
+    let chunks: Vec<_> = db.partition(threads).into_iter().enumerate().collect();
+    let mut done = Vec::with_capacity(chunks.len());
+    fan_out(query, db, cfg, &make_aligner, &chunks, |_, _, out| {
+        done.push(out?);
+        Ok(())
+    })?;
+    let out = merge(done);
+    sp.record("cells", out.stats.cells);
+    sp.record("retries", out.faults.retries);
+    Ok(out)
 }
 
 /// Align many (query, target) pairs across threads — the many-to-many
@@ -780,6 +767,46 @@ mod tests {
             AlignError::Cancelled {
                 reason: CancelReason::Shutdown
             }
+        );
+    }
+
+    /// Partition workers search their range of the database as it was
+    /// encoded, whatever the alphabet: DNA scores at 4 threads equal
+    /// those at 1 thread, for the plain and the journaled search.
+    #[test]
+    fn dna_scores_do_not_depend_on_thread_count() {
+        use crate::journal::{checkpointed_search, JournalWriter};
+        use swsimd_core::GapPenalties;
+        use swsimd_matrices::{SubstitutionMatrix, DNA_LETTERS};
+
+        let mut rng = StdRng::seed_from_u64(41);
+        let records: Vec<SeqRecord> = (0..40)
+            .map(|i| {
+                let l = rng.gen_range(20..120);
+                let s: Vec<u8> = (0..l).map(|_| DNA_LETTERS[rng.gen_range(0..4)]).collect();
+                SeqRecord::new(format!("d{i}"), s)
+            })
+            .collect();
+        let db = Database::from_records(records, &Alphabet::dna());
+        let q = Alphabet::dna().encode(b"ACGTTGCAACGGTTACGATCGATCGGCTAAGCTTAGCGT");
+        let dna = SubstitutionMatrix::match_mismatch("dna+2/-3", Alphabet::dna(), 2, -3);
+        let builder = || {
+            Aligner::builder()
+                .matrix(&dna)
+                .gaps(GapPenalties::new(5, 2))
+        };
+        let cfg = |threads| PoolConfig {
+            threads,
+            ..PoolConfig::default()
+        };
+        let single = parallel_search(&q, &db, &cfg(1), builder);
+        let multi = parallel_search(&q, &db, &cfg(4), builder);
+        assert_eq!(multi.hits, single.hits, "parallel_search at 4 threads");
+        let mut jw = JournalWriter::new(Vec::new()).unwrap();
+        let journaled = checkpointed_search(&q, &db, &cfg(4), builder, &mut jw).unwrap();
+        assert_eq!(
+            journaled.hits, single.hits,
+            "checkpointed_search at 4 threads"
         );
     }
 

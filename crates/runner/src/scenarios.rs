@@ -71,7 +71,6 @@ where
         db,
         &PoolConfig {
             threads,
-            sort_batches: true,
             ..PoolConfig::default()
         },
         make_aligner,
@@ -89,58 +88,6 @@ where
         faults: out.faults,
         latency: local.snapshot(),
     }
-}
-
-/// Scenario 1 with durability: identical results to [`scenario1`], but
-/// every completed chunk is journaled through `journal` so a crash
-/// mid-scan can be resumed with [`crate::resume_search`] instead of
-/// starting over — the recovery contract for the paper's
-/// whole-database scans (DESIGN.md §10).
-pub fn scenario1_durable<S, F>(
-    query: &[u8],
-    db: &Database,
-    threads: usize,
-    make_aligner: F,
-    journal: &mut crate::journal::JournalWriter<S>,
-) -> std::io::Result<ScenarioReport>
-where
-    S: crate::journal::JournalSink,
-    F: Fn() -> AlignerBuilder + Sync,
-{
-    let mut sp = swsimd_obs::span!(
-        "scenario",
-        "id" => 1u64,
-        "durable" => true,
-        "queries" => 1u64,
-        "db_seqs" => db.len()
-    );
-    let local = Histogram::new();
-    let started = Instant::now();
-    let timer = CellTimer::start(query.len() as u64 * db.total_residues() as u64);
-    let out = crate::journal::checkpointed_search(
-        query,
-        db,
-        &PoolConfig {
-            threads,
-            sort_batches: true,
-            ..PoolConfig::default()
-        },
-        make_aligner,
-        journal,
-    )?;
-    let throughput = timer.stop();
-    record_latency(&local, &metrics::query_latency("1"), started);
-    metrics::record_gcups(&metrics::scenario_gcups("1"), &throughput);
-    sp.record("gcups", throughput.gcups());
-    let best = out.hits.into_iter().next();
-    Ok(ScenarioReport {
-        scenario: 1,
-        throughput,
-        best_hits: best.into_iter().collect(),
-        alignments: db.len(),
-        faults: out.faults,
-        latency: local.snapshot(),
-    })
 }
 
 /// Scenario 2: a batch of queries against the database.
@@ -284,33 +231,6 @@ mod tests {
         assert!(!r.faults.any(), "clean run records no degradation");
         assert_eq!(r.latency.count, 1, "one end-to-end sample per query");
         assert!(r.latency.max >= r.latency.min);
-    }
-
-    #[test]
-    fn scenario1_durable_matches_and_journals() {
-        use crate::journal::{read_journal, resume_search, JournalWriter};
-        let db = tiny_db(24);
-        let q = enc(40, 1);
-        let plain = scenario1(&q, &db, 2, builder);
-        let mut jw = JournalWriter::new(Vec::new()).unwrap();
-        let durable = scenario1_durable(&q, &db, 2, builder, &mut jw).unwrap();
-        assert_eq!(durable.best_hits, plain.best_hits);
-        assert_eq!(durable.alignments, plain.alignments);
-        let journal = read_journal(&jw.into_inner()).unwrap();
-        assert!(!journal.truncated);
-        let (resumed, stats) = resume_search(
-            &journal,
-            &q,
-            &db,
-            &PoolConfig {
-                threads: 2,
-                ..PoolConfig::default()
-            },
-            builder,
-        )
-        .unwrap();
-        assert_eq!(stats.recomputed_chunks, 0);
-        assert_eq!(resumed.hits.first(), durable.best_hits.first());
     }
 
     #[test]

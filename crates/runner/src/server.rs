@@ -31,7 +31,8 @@
 //!   when it expires — it never blocks indefinitely — and the server
 //!   skips jobs whose deadline has already passed instead of computing
 //!   dead answers;
-//! * a panicking worker is isolated with `catch_unwind` and the job is
+//! * a panicking, wedged or malformed fast path is isolated by the
+//!   pool's one isolation policy ([`crate::pool`]) and the job is
 //!   retried **once** on the scalar reference engine (exact scores,
 //!   degraded throughput); only a double fault surfaces as
 //!   [`ServeError::WorkerPanicked`];
@@ -56,12 +57,11 @@
 //! decisions additionally emit structured trace events when a
 //! [`swsimd_obs`] sink is installed.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{
-    AtomicBool, AtomicU64, AtomicU8,
+    AtomicU64, AtomicU8,
     Ordering::{Acquire, Relaxed, Release},
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
@@ -74,8 +74,9 @@ use swsimd_obs::trace::TraceCtx;
 use swsimd_obs::{Counter, Gauge, Histogram};
 use swsimd_seq::{BatchedDatabase, Database};
 
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, FaultStats};
 use crate::metrics;
+use crate::pool::{isolate, Watchdog};
 use crate::qos::{
     tenant_label, Brownout, BrownoutConfig, Drr, Fidelity, QosConfig, QosShared, TenantShared,
 };
@@ -470,6 +471,29 @@ impl ServerObs {
             .position(|r| *r == reason)
             .expect("ALL covers every reason");
         &self.cancelled[idx]
+    }
+
+    /// Bump the series of one job's isolation and shadow events. A
+    /// watchdog reap is both a fire and a watchdog cancellation.
+    fn add_faults(&self, faults: &FaultStats) {
+        let FaultStats {
+            worker_panics,
+            degraded_batches,
+            retries,
+            shadow_checks,
+            shadow_mismatches,
+            backend_demotions,
+            watchdog_fires,
+        } = *faults;
+        self.worker_panics.add(worker_panics);
+        self.degraded_batches.add(degraded_batches);
+        self.retries.add(retries);
+        self.shadow_checks.add(shadow_checks);
+        self.shadow_mismatches.add(shadow_mismatches);
+        self.backend_demotions.add(backend_demotions);
+        self.watchdog_fires.add(watchdog_fires);
+        self.cancelled_counter(CancelReason::Watchdog)
+            .add(watchdog_fires);
     }
 
     /// Read every counter into plain values.
@@ -911,82 +935,6 @@ impl std::fmt::Display for ServerStats {
     }
 }
 
-/// Shared slot the worker publishes its in-flight job's cancel token
-/// into, so the stall watchdog can observe kernel heartbeats from
-/// outside the (possibly wedged) worker thread. `gen` disambiguates
-/// successive jobs so a stale heartbeat reading from job N is never
-/// charged against job N+1.
-struct WorkerWatch {
-    gen: AtomicU64,
-    current: Mutex<Option<CancelToken>>,
-    stop: AtomicBool,
-}
-
-impl WorkerWatch {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            gen: AtomicU64::new(0),
-            current: Mutex::new(None),
-            stop: AtomicBool::new(false),
-        })
-    }
-
-    /// Publish `token` as the job under observation.
-    fn begin(&self, token: &CancelToken) {
-        *self.current.lock().expect("watch lock") = Some(token.clone());
-        self.gen.fetch_add(1, Release);
-    }
-
-    /// Clear the slot: compute finished (or failed) normally.
-    fn end(&self) {
-        *self.current.lock().expect("watch lock") = None;
-        self.gen.fetch_add(1, Release);
-    }
-
-    fn observe(&self) -> Option<(u64, u64, CancelToken)> {
-        let guard = self.current.lock().expect("watch lock");
-        guard
-            .as_ref()
-            .map(|t| (self.gen.load(Acquire), t.heartbeat(), t.clone()))
-    }
-}
-
-/// Stall-watchdog loop: polls the published job's kernel heartbeat and
-/// cancels it with [`CancelReason::Watchdog`] when it stops advancing
-/// for `stall`. The cancelled worker unwedges at its next cooperative
-/// check; [`WorkerCtx::run_job`] then files the trust strike and
-/// retries on the scalar reference.
-fn server_watchdog(watch: Arc<WorkerWatch>, stall: Duration, obs: Arc<ServerObs>) {
-    let poll = (stall / 4).clamp(Duration::from_millis(1), Duration::from_millis(25));
-    // (generation, last heartbeat, when it last advanced)
-    let mut last: Option<(u64, u64, Instant)> = None;
-    while !watch.stop.load(Acquire) {
-        std::thread::sleep(poll);
-        let Some((gen, beat, token)) = watch.observe() else {
-            last = None;
-            continue;
-        };
-        if token.is_cancelled() {
-            last = None;
-            continue;
-        }
-        match last {
-            Some((g, b, since)) if g == gen && b == beat => {
-                if since.elapsed() >= stall && token.cancel(CancelReason::Watchdog) {
-                    obs.watchdog_fires.inc();
-                    obs.cancelled_counter(CancelReason::Watchdog).inc();
-                    swsimd_obs::event!(
-                        "watchdog_fire",
-                        "stalled_ms" => since.elapsed().as_millis() as u64
-                    );
-                    last = None;
-                }
-            }
-            _ => last = Some((gen, beat, Instant::now())),
-        }
-    }
-}
-
 /// File a freshly received job into its tenant's DRR lane. The job
 /// still counts as queued (gauges decrement when it is popped into a
 /// batch, not here) — a laned job has not been scheduled yet.
@@ -1002,7 +950,7 @@ pub struct BatchServer {
     client_tx: Sender<Msg>,
     worker: Option<std::thread::JoinHandle<()>>,
     watchdog: Option<std::thread::JoinHandle<()>>,
-    watch: Arc<WorkerWatch>,
+    watch: Arc<Watchdog>,
     obs: Arc<ServerObs>,
     max_query_len: usize,
     max_cost: Option<u64>,
@@ -1034,11 +982,12 @@ impl BatchServer {
         let db_residues = db.total_residues() as u64;
         let server_cancel = CancelToken::new();
         let qos = QosShared::new(cfg.qos.clone(), &obs.instance, cfg.queue_depth);
-        let watch = WorkerWatch::new();
+        // One watchdog slot: the worker publishes each job's compute
+        // token into it.
+        let watch = Arc::new(Watchdog::new(1));
         let watchdog = cfg.stall_timeout.map(|stall| {
             let watch = watch.clone();
-            let obs = obs.clone();
-            std::thread::spawn(move || server_watchdog(watch, stall, obs))
+            std::thread::spawn(move || watch.run(stall))
         });
         let worker_obs = obs.clone();
         let worker_watch = watch.clone();
@@ -1126,7 +1075,7 @@ impl BatchServer {
             ctx.process_batch(&mut pending);
             // Release the watchdog only after the drain: jobs without
             // deadlines still complete, and wedged ones stay reapable.
-            ctx.watch.stop.store(true, Release);
+            ctx.watch.stop();
         });
         Self {
             client_tx: tx,
@@ -1257,7 +1206,7 @@ impl BatchServer {
             let _ = worker.join();
         }
         self.server_cancel.cancel(CancelReason::Shutdown);
-        self.watch.stop.store(true, Release);
+        self.watch.stop();
         if let Some(watchdog) = self.watchdog.take() {
             let _ = watchdog.join();
         }
@@ -1291,8 +1240,9 @@ struct WorkerCtx<F> {
     /// deadline-aware predictive skip in [`WorkerCtx::process_batch`].
     cups_ewma: f64,
     db_residues: u64,
-    /// Slot the stall watchdog observes; published around compute.
-    watch: Arc<WorkerWatch>,
+    /// The stall watchdog; each job's compute token is published in
+    /// its one slot for the length of the fast path.
+    watch: Arc<Watchdog>,
     /// Shared QoS state: the worker publishes its queue-delay EWMA
     /// here so admission can derive shed retry hints from it.
     qos: Arc<QosShared>,
@@ -1311,7 +1261,7 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
         cfg: &ServerConfig,
         make_aligner: F,
         obs: Arc<ServerObs>,
-        watch: Arc<WorkerWatch>,
+        watch: Arc<Watchdog>,
         qos: Arc<QosShared>,
         brownout: Brownout,
     ) -> Self {
@@ -1405,7 +1355,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             }
             self.obs.queries.inc();
             job.phase.store(PHASE_COMPUTING, Release);
-            self.watch.begin(&job.cancel);
             let started = Instant::now();
             let queue_ns = started.duration_since(job.submitted).as_nanos() as u64;
             // Adopt the submitter's trace context for the duration of
@@ -1416,7 +1365,6 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
                 self.run_job(slot, &job)
             };
             let compute = started.elapsed();
-            self.watch.end();
             if result.is_ok() {
                 // Calibrate the cost model against measured throughput.
                 let secs = compute.as_secs_f64().max(1e-9);
@@ -1509,22 +1457,22 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
     }
 
     /// One job with isolation and governance: memory-budget
-    /// reservation, then the fast path under `catch_unwind` with the
-    /// job's cancel token threaded into the kernel, hit-count
-    /// validation, and a single degraded retry on the scalar reference
-    /// engine for panics, malformed results, and watchdog reaps.
-    /// Cooperative cancellations (deadline, shutdown) propagate as
-    /// typed errors without a retry — nobody is waiting for the
-    /// answer. `slot` is the job's index within its batch — the unit
-    /// [`FaultPlan`] targets for the server.
+    /// reservation, then [`isolate`] over the persistent aligner and
+    /// layout, with the cached scalar fallback as its retry. The fast
+    /// path runs under a child of the job's token, published to the
+    /// stall watchdog; the retry runs under the job's token, so it
+    /// still honors the job's deadline and server shutdown.
+    /// Cooperative cancellations propagate as typed errors without a
+    /// retry — nobody is waiting for the answer — and a double fault
+    /// answers [`ServeError::WorkerPanicked`]. `slot` is the job's
+    /// index within its batch — the unit [`FaultPlan`] targets for the
+    /// server.
     fn run_job(
         &mut self,
         slot: usize,
         job: &Job,
     ) -> Result<(Vec<Hit>, &'static str, u32), ServeError> {
         let query = &job.query;
-        let top_k = job.top_k;
-        let expected = self.db.len();
         // Reserve the DP working-set estimate up front; held for the
         // whole job (fast path and retry share the buffers' bound).
         let _reserved = match &self.budget {
@@ -1538,50 +1486,61 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
             },
             None => None,
         };
-        let fast = catch_unwind(AssertUnwindSafe(|| {
-            self.plan.before_partition(slot);
-            let mut hits = self.aligner.try_search_batched(
-                query,
-                &self.db,
-                &self.batched,
-                Some(&job.cancel),
-            )?;
-            self.plan.corrupt_hits(slot, &mut hits);
-            self.plan.skew_hits(slot, &mut hits);
-            Ok::<_, AlignError>(hits)
-        }));
-        let mut panicked = false;
-        let mut reaped = false;
-        match fast {
-            Ok(Ok(mut hits)) if hits.len() == expected => {
+        let token = job.cancel.child();
+        self.watch.watch(0, &token);
+        let engine = self.aligner.engine();
+        let (mut faults, outcome) = isolate(
+            slot,
+            &self.plan,
+            self.db.len(),
+            engine,
+            || {
+                let hits = self.aligner.try_search_batched(
+                    query,
+                    &self.db,
+                    &self.batched,
+                    Some(&token),
+                )?;
+                Ok((hits, ()))
+            },
+            || {
+                let make_aligner = &self.make_aligner;
+                let db = &self.db;
+                let (aligner, batched) = self.fallback.get_or_insert_with(|| {
+                    let aligner = make_aligner().engine(EngineKind::Scalar).build();
+                    let lanes = swsimd_core::batch::lanes_for(aligner.engine());
+                    (aligner, BatchedDatabase::build(db, lanes, true))
+                });
+                let hits = aligner.try_search_batched(query, db, batched, Some(&job.cancel))?;
+                Ok((hits, ()))
+            },
+        );
+        self.watch.clear(0);
+        let retried = faults.retries > 0;
+        let result = match outcome {
+            Ok(Ok((mut hits, ()))) => {
                 // Brownout level ≥ 1 suspends shadow sampling — the
                 // first, cheapest rung of the degradation ladder. The
                 // suspension is declared on the result as
-                // [`Fidelity::NoShadow`], never silent.
-                let out = if self.brownout.shadow_suspended() {
-                    Default::default()
-                } else {
-                    self.shadow
-                        .verify_hits(query, &self.db, &mut hits, &self.make_aligner)
-                };
-                if out.checks > 0 {
-                    self.obs.shadow_checks.add(out.checks);
-                    self.obs.shadow_mismatches.add(out.mismatches);
-                    self.obs.backend_demotions.add(out.demotions);
+                // [`Fidelity::NoShadow`], never silent. A scalar retry
+                // already is the reference.
+                if !retried && !self.brownout.shadow_suspended() {
+                    faults.record_shadow(&self.shadow.verify_hits(
+                        query,
+                        &self.db,
+                        &mut hits,
+                        &self.make_aligner,
+                    ));
                 }
-                let engine = swsimd_core::trust::effective_engine(self.aligner.engine()).name();
-                return Ok((rank_hits(hits, top_k), engine, 0));
+                let engine = if retried {
+                    EngineKind::Scalar
+                } else {
+                    swsimd_core::trust::effective_engine(engine)
+                };
+                Ok((rank_hits(hits, job.top_k), engine.name(), retried as u32))
             }
-            // Watchdog reap: the kernel was wedged and got cancelled
-            // from outside. Not a client-visible failure — fall
-            // through to the scalar retry, but file the trust strike
-            // (the watchdog thread already counted the fire).
-            Ok(Err(AlignError::Cancelled {
-                reason: CancelReason::Watchdog,
-            })) => reaped = true,
             // Cooperative cancellation: deadline, shutdown, drop. The
-            // client is gone or going; surface the typed error, no
-            // retry.
+            // client is gone or going; surface the typed error.
             Ok(Err(AlignError::Cancelled { reason })) => {
                 self.obs.cancelled_counter(reason).inc();
                 swsimd_obs::event!(
@@ -1589,76 +1548,14 @@ impl<F: Fn() -> AlignerBuilder> WorkerCtx<F> {
                     "slot" => slot,
                     "reason" => reason.as_str()
                 );
-                return Err(cancel_to_serve(reason));
-            }
-            Ok(Err(e)) => return Err(e.into()),
-            // Panic or malformed hit count: the existing isolation
-            // path below.
-            Ok(Ok(_)) => {}
-            Err(_) => panicked = true,
-        }
-
-        // The fast path panicked, was reaped, or returned a malformed
-        // result: isolate it, record it, and recompute this job on the
-        // scalar reference engine (exact scores, degraded throughput).
-        if panicked {
-            self.obs.worker_panics.inc();
-            swsimd_obs::event!("worker_panic", "slot" => slot);
-        }
-        if panicked || reaped {
-            // A kernel panic or stall is a strike against the backend
-            // that computed it; enough strikes open the trust breaker.
-            let engine = swsimd_core::trust::effective_engine(self.aligner.engine());
-            if swsimd_core::trust::global().record_strike(engine) {
-                self.obs.backend_demotions.inc();
-            }
-        }
-        self.obs.degraded_batches.inc();
-        self.obs.retries.inc();
-        swsimd_obs::event!(
-            "degraded_retry",
-            "slot" => slot,
-            "panicked" => panicked,
-            "reaped" => reaped,
-            "engine" => "scalar"
-        );
-
-        if self.fallback.is_none() {
-            let built = catch_unwind(AssertUnwindSafe(|| {
-                let aligner = (self.make_aligner)().engine(EngineKind::Scalar).build();
-                let batched = BatchedDatabase::build(
-                    &self.db,
-                    swsimd_core::batch::lanes_for(aligner.engine()),
-                    true,
-                );
-                (aligner, batched)
-            }));
-            match built {
-                Ok(fb) => self.fallback = Some(fb),
-                Err(_) => return Err(ServeError::WorkerPanicked),
-            }
-        }
-        // The retry runs ungoverned after a watchdog reap (its token
-        // is already cancelled; the answer is still owed) but keeps
-        // deadline/shutdown governance otherwise.
-        let retry_token = if reaped { None } else { Some(&job.cancel) };
-        let db = &self.db;
-        let retry = self.fallback.as_mut().map(|(aligner, batched)| {
-            catch_unwind(AssertUnwindSafe(|| {
-                aligner.try_search_batched(query, db, batched, retry_token)
-            }))
-        });
-        match retry {
-            Some(Ok(Ok(hits))) if hits.len() == expected => {
-                Ok((rank_hits(hits, top_k), EngineKind::Scalar.name(), 1))
-            }
-            Some(Ok(Err(AlignError::Cancelled { reason }))) => {
-                self.obs.cancelled_counter(reason).inc();
                 Err(cancel_to_serve(reason))
             }
+            Ok(Err(e)) => Err(e.into()),
             // Double fault: the reference engine failed too.
-            _ => Err(ServeError::WorkerPanicked),
-        }
+            Err(_) => Err(ServeError::WorkerPanicked),
+        };
+        self.obs.add_faults(&faults);
+        result
     }
 }
 

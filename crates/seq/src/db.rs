@@ -198,12 +198,24 @@ impl BatchedDatabase {
     /// fraction of poisoned lanes) — the offline reorganization the
     /// paper describes.
     pub fn build(db: &Database, lanes: usize, sort_by_len: bool) -> Self {
+        Self::build_range(db, 0..db.len(), lanes, sort_by_len)
+    }
+
+    /// Like [`BatchedDatabase::build`], over the sequences in `range`
+    /// only. Batch members keep their indices in `db`, so hits from a
+    /// search over one partition are already globally indexed.
+    pub fn build_range(
+        db: &Database,
+        range: std::ops::Range<usize>,
+        lanes: usize,
+        sort_by_len: bool,
+    ) -> Self {
         assert!(lanes > 0);
-        let mut order: Vec<usize> = (0..db.len()).collect();
+        let mut order: Vec<usize> = range.collect();
         if sort_by_len {
             order.sort_by_key(|&i| db.encoded(i).len());
         }
-        let mut batches = Vec::with_capacity(db.len().div_ceil(lanes.max(1)));
+        let mut batches = Vec::with_capacity(order.len().div_ceil(lanes));
         for group in order.chunks(lanes) {
             let max_len = group
                 .iter()
@@ -367,6 +379,19 @@ mod tests {
     fn partition_empty_db() {
         let d = db(&[]);
         assert_eq!(d.partition(4), vec![0..0]);
+    }
+
+    #[test]
+    fn range_batches_keep_global_members() {
+        let d = db(&["MKV", "AAAA", "WW", "RRRRRR", "C"]);
+        let b = BatchedDatabase::build_range(&d, 1..4, 2, true);
+        let members: Vec<u32> = b
+            .batches()
+            .iter()
+            .flat_map(|batch| batch.members().iter().copied())
+            .collect();
+        assert_eq!(members, vec![2, 1, 3], "length-sorted, indices into d");
+        assert_eq!(b.batches()[0].column(0), &[17, 0]); // W, A
     }
 
     #[test]

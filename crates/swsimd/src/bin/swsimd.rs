@@ -265,10 +265,10 @@ fn cmd_align(query_path: &str, target_path: &str, o: &Opts) -> Result<(), String
     Ok(())
 }
 
-/// Run one query durably: resume from an existing journal at `path`
-/// if one survives a previous crash, otherwise start a fresh
-/// checkpointed search. The journal is removed once the scan
-/// completes (it only has value mid-crash).
+/// Run one query durably through the journal at `path`: resume it if
+/// one survives a previous crash, otherwise start a fresh checkpointed
+/// search. The journal is removed once the scan completes (it only
+/// has value mid-crash).
 fn durable_search(
     qe: &[u8],
     db: &Database,
@@ -276,35 +276,26 @@ fn durable_search(
     o: &Opts,
     path: &std::path::Path,
 ) -> Result<swsimd::runner::SearchOutput, String> {
-    if path.exists() {
-        let journal = swsimd::read_journal_file(path).map_err(|e| {
-            format!(
-                "{}: unreadable journal ({e}); delete it to restart",
-                path.display()
-            )
-        })?;
-        let (out, stats) = swsimd::resume_search(&journal, qe, db, cfg, || builder_for(o))
-            .map_err(|e| {
-                format!(
+    let (out, resumed) =
+        swsimd::durable_search(path, qe, db, cfg, || builder_for(o), &mut |_, _| {}).map_err(
+            |e| match e {
+                swsimd::JournalError::Io(e) => {
+                    format!("search died ({e}); rerun with --journal to resume")
+                }
+                e => format!(
                     "{}: cannot resume ({e}); delete it to restart",
                     path.display()
-                )
-            })?;
+                ),
+            },
+        )?;
+    if let Some(stats) = resumed {
         eprintln!(
             "resumed from {}: replayed {} chunk(s), recomputed {}",
             path.display(),
             stats.replayed_chunks,
             stats.recomputed_chunks
         );
-        let _ = std::fs::remove_file(path);
-        return Ok(out);
     }
-    let mut journal =
-        swsimd::JournalWriter::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let out = swsimd::checkpointed_search(qe, db, cfg, || builder_for(o), &mut journal)
-        .map_err(|e| format!("search died ({e}); rerun with --journal to resume"))?;
-    drop(journal);
-    let _ = std::fs::remove_file(path);
     Ok(out)
 }
 
@@ -351,7 +342,6 @@ fn cmd_search(query_path: &str, db_path: &str, o: &Opts) -> Result<(), String> {
         };
         let cfg = PoolConfig {
             threads: o.threads,
-            sort_batches: true,
             stall_timeout: o.stall_timeout,
             ..PoolConfig::default()
         };

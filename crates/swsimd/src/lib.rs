@@ -55,9 +55,8 @@ pub use swsimd_core::{
     GapModel, GapPenalties, Hit, KernelStats, Op, Precision, Scoring,
 };
 pub use swsimd_runner::{
-    checkpointed_search, read_journal, read_journal_file, resume_search, resume_search_file,
-    FaultPlan, FaultStats, FaultyWriter, Journal, JournalError, JournalWriter, ResumeStats,
-    ServeError,
+    checkpointed_search, durable_search, read_journal, read_journal_file, resume_search, FaultPlan,
+    FaultStats, FaultyWriter, Journal, JournalError, JournalWriter, ResumeStats, ServeError,
 };
 pub use swsimd_runner::{OnMismatch, ShadowConfig, ShadowVerifier};
 pub use swsimd_seq::{

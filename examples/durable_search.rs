@@ -4,18 +4,19 @@
 //! crashed after N completed chunks (a simulated kill -9 between
 //! journal appends), and resumed from the surviving journal — and
 //! shows the resumed results are bit-identical to the uninterrupted
-//! run while only the missing chunks were recomputed.
+//! run while only the missing chunks were recomputed. Both journaled
+//! runs go through `durable_search`, the one resume-or-start entry
+//! point.
 //!
 //! ```text
 //! cargo run --release --example durable_search [n_seqs] [threads] [crash_after]
 //! ```
 
+use swsimd::durable_search;
 use swsimd::matrices::{blosum62, Alphabet};
 use swsimd::runner::{parallel_search, PoolConfig};
 use swsimd::seq::{generate_database, generate_exact, SynthConfig};
-use swsimd::{
-    checkpointed_search, read_journal_file, resume_search, Aligner, FaultPlan, JournalWriter,
-};
+use swsimd::{read_journal_file, Aligner, FaultPlan};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -34,7 +35,6 @@ fn main() {
     let builder = || Aligner::builder().matrix(blosum62());
     let cfg = |plan: FaultPlan| PoolConfig {
         threads,
-        sort_batches: true,
         fault_plan: plan,
         ..Default::default()
     };
@@ -49,13 +49,15 @@ fn main() {
 
     // The doomed run: journal to disk, die after `crash_after` chunks.
     let path = std::env::temp_dir().join("swsimd_durable_search.swjl");
-    let mut journal = JournalWriter::create(&path).expect("create journal");
+    let _ = std::fs::remove_file(&path);
     let crash_cfg = cfg(FaultPlan::new().crash_after_chunks(crash_after));
-    match checkpointed_search(&query, &db, &crash_cfg, builder, &mut journal) {
-        Ok(_) => println!("no crash injected (crash_after >= chunk count)"),
+    match durable_search(&path, &query, &db, &crash_cfg, builder, &mut |_, _| {}) {
+        Ok(_) => {
+            println!("no crash injected (crash_after >= chunk count)");
+            return;
+        }
         Err(e) => println!("scan died mid-flight: {e}"),
     }
-    drop(journal);
 
     // Recovery: replay the intact prefix, recompute only the rest.
     let journal = read_journal_file(&path).expect("journal readable");
@@ -68,12 +70,21 @@ fn main() {
             ""
         }
     );
-    let (out, stats) = resume_search(&journal, &query, &db, &cfg(FaultPlan::none()), builder)
-        .expect("resume from journal");
+    let (out, stats) = durable_search(
+        &path,
+        &query,
+        &db,
+        &cfg(FaultPlan::none()),
+        builder,
+        &mut |_, _| {},
+    )
+    .expect("resume from journal");
+    let stats = stats.expect("a journal survived the crash");
     println!(
         "resume: replayed {} chunk(s) ({} hits), recomputed {}",
         stats.replayed_chunks, stats.replayed_hits, stats.recomputed_chunks
     );
+    assert!(!path.exists(), "a finished search removes its journal");
 
     assert_eq!(out.hits, want.hits, "resume must be bit-identical");
     println!(
@@ -82,5 +93,4 @@ fn main() {
         out.hits[0].score,
         out.hits[0].db_index
     );
-    let _ = std::fs::remove_file(&path);
 }

@@ -142,7 +142,6 @@ fn seeded_chaos_soak_zero_wrong_answers_and_bounded_recovery() {
         &db,
         &PoolConfig {
             threads: 2,
-            sort_batches: true,
             ..Default::default()
         },
         || Aligner::builder().matrix(swsimd::matrices::blosum62()),

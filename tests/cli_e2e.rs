@@ -72,6 +72,37 @@ fn search_ranks_homolog_first() {
 }
 
 #[test]
+fn journaled_search_prints_plain_hits_and_cleans_up() {
+    let q = write_fasta("q_journal.fa", QUERY);
+    let d = write_fasta("d_journal.fa", DB);
+    let journal = std::env::temp_dir()
+        .join("swsimd_cli_e2e")
+        .join(format!("search-{}.swjl", std::process::id()));
+    let _ = std::fs::remove_file(&journal);
+    let search = |extra: &[&std::ffi::OsStr]| {
+        let out = bin()
+            .args(["search"])
+            .arg(&q)
+            .arg(&d)
+            .args(["--threads", "2"])
+            .args(extra)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let plain = search(&[]);
+    let journaled = search(&["--journal".as_ref(), journal.as_os_str()]);
+    assert_eq!(plain.matches("score=").count(), 3, "{plain}");
+    assert_eq!(journaled, plain);
+    assert!(!journal.exists(), "a finished search removes its journal");
+}
+
+#[test]
 fn global_mode_flag_changes_scores() {
     let q = write_fasta("q3.fa", QUERY);
     let d = write_fasta("d3.fa", DB);

@@ -199,7 +199,6 @@ mod server_faults {
             &db,
             &PoolConfig {
                 threads: 4,
-                sort_batches: true,
                 ..Default::default()
             },
             builder,
@@ -209,7 +208,6 @@ mod server_faults {
             &db,
             &PoolConfig {
                 threads: 4,
-                sort_batches: true,
                 fault_plan: FaultPlan::new().panic_at(2, 1),
                 ..Default::default()
             },
@@ -416,7 +414,6 @@ mod durability {
     fn cfg(threads: usize) -> PoolConfig {
         PoolConfig {
             threads,
-            sort_batches: true,
             ..Default::default()
         }
     }

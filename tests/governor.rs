@@ -140,7 +140,6 @@ fn cancel_mid_scan_leaves_clean_prefix_and_resume_is_bit_identical() {
     let threads = 4;
     let plain = PoolConfig {
         threads,
-        sort_batches: true,
         ..Default::default()
     };
     let want = parallel_search(&q, &db, &plain, make).hits;
@@ -157,7 +156,6 @@ fn cancel_mid_scan_leaves_clean_prefix_and_resume_is_bit_identical() {
     };
     let cfg = PoolConfig {
         threads,
-        sort_batches: true,
         fault_plan: FaultPlan::new().delay_at(2, Duration::from_millis(250)),
         cancel: Some(token),
         ..Default::default()

@@ -122,7 +122,6 @@ fn three_shard_cluster_survives_a_killed_shard() {
             &db,
             &PoolConfig {
                 threads: 2,
-                sort_batches: true,
                 ..Default::default()
             },
             || Aligner::builder().matrix(blosum62()),

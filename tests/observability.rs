@@ -106,7 +106,6 @@ fn spans_stay_balanced_across_worker_panics() {
         &db,
         &PoolConfig {
             threads: 1,
-            sort_batches: true,
             fault_plan: FaultPlan::new().panic_at(0, 1),
             ..PoolConfig::default()
         },

@@ -240,7 +240,6 @@ fn journal_fixture() -> &'static (Vec<u8>, swsimd::Journal) {
         let q: Vec<u8> = (0..36u8).map(|i| i % 20).collect();
         let cfg = swsimd::runner::PoolConfig {
             threads: 3,
-            sort_batches: true,
             ..Default::default()
         };
         let mut jw = swsimd::JournalWriter::new(Vec::new()).expect("journal header");

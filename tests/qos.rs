@@ -41,7 +41,6 @@ fn reference_hits(query: &[u8], db: &Database, top_k: usize) -> Vec<Hit> {
         db,
         &PoolConfig {
             threads: 2,
-            sort_batches: true,
             ..Default::default()
         },
         builder,

@@ -38,7 +38,6 @@ fn thread_count_does_not_change_results() {
         &db,
         &PoolConfig {
             threads: 1,
-            sort_batches: true,
             ..PoolConfig::default()
         },
         builder,
@@ -49,7 +48,6 @@ fn thread_count_does_not_change_results() {
             &db,
             &PoolConfig {
                 threads,
-                sort_batches: true,
                 ..PoolConfig::default()
             },
             builder,
@@ -132,7 +130,6 @@ fn empty_database_yields_no_hits() {
         &empty,
         &PoolConfig {
             threads: 2,
-            sort_batches: true,
             ..PoolConfig::default()
         },
         builder,

@@ -171,7 +171,6 @@ fn interrupted_stream_resumes_to_oracle_exact_ranking() {
             &db,
             &PoolConfig {
                 threads: 2,
-                sort_batches: true,
                 ..Default::default()
             },
             || Aligner::builder().matrix(swsimd::matrices::blosum62()),
