@@ -5,8 +5,9 @@
 //! `#[target_feature]` wrapper, a broken emulated-gather path. The
 //! battery here runs a small set of golden alignments plus seeded
 //! random pairs through every available (engine × width × score/tb)
-//! dispatch entry point and checks each result against the scalar
-//! reference ([`crate::scalar_ref`]).
+//! diagonal dispatch entry point, and one seeded database through the
+//! engine's 8-bit batch kernel (the `scan`/`serve` path), and checks
+//! each result against the scalar reference ([`crate::scalar_ref`]).
 //!
 //! [`boot`] runs the battery once per process (first caller pays,
 //! everyone else reads the cached report) and marks failing backends
@@ -20,8 +21,11 @@
 
 use std::sync::OnceLock;
 
+use swsimd_matrices::Alphabet;
+use swsimd_seq::{BatchedDatabase, Database, SeqRecord};
 use swsimd_simd::EngineKind;
 
+use crate::batch::{batch_score, lanes_for};
 use crate::diag::dispatch::{diag_score_raw, diag_traceback_raw};
 use crate::params::{GapModel, GapPenalties, Precision, Scoring};
 use crate::scalar_ref::sw_scalar;
@@ -34,6 +38,15 @@ pub const BATTERY_SEED: u64 = 0x0005_eed0_5e1f_7e57;
 
 /// Seeded random pairs per battery run, in addition to the golden set.
 const RANDOM_CASES: usize = 6;
+
+/// Query length of the batch case: its self-score saturates 8-bit lanes
+/// (every BLOSUM62 identity scores at least 4).
+const BATCH_QUERY_LEN: usize = 40;
+
+/// Longest sequence of the batch case: not a multiple of the batch
+/// kernel's column block, so its width-1 tail runs too.
+const BATCH_COLS: usize = 47;
+const _: () = assert!(!BATCH_COLS.is_multiple_of(crate::batch::BLOCK));
 
 /// Deterministic 64-bit LCG (`swsimd-core` deliberately has no RNG
 /// dependency; kernel-quality randomness is not needed here).
@@ -117,6 +130,91 @@ fn battery_cases() -> Vec<Case> {
         });
     }
     cases
+}
+
+/// The batch-kernel case for an engine with `lanes` 8-bit lanes: a
+/// seeded query and a database of one full batch plus a ragged second
+/// one. Sequence 0 is the query itself, whose lane saturates; sequence 1
+/// has [`BATCH_COLS`] residues.
+fn batch_case(lanes: usize) -> (Vec<u8>, Database) {
+    let mut rng = Lcg::new(BATTERY_SEED + 1);
+    let query = rng.seq(BATCH_QUERY_LEN);
+    let mut seqs = vec![query.clone(), rng.seq(BATCH_COLS)];
+    while seqs.len() < lanes + 5 {
+        let len = 1 + rng.below(BATCH_COLS);
+        seqs.push(rng.seq(len));
+    }
+    let alphabet = Alphabet::protein();
+    let records = seqs
+        .iter()
+        .map(|s| SeqRecord::new("selftest", alphabet.decode(s)))
+        .collect();
+    (query, Database::from_records(records, &alphabet))
+}
+
+/// Run the batch case through `engine`'s batch kernel and record every
+/// lane that disagrees with the scalar reference.
+fn check_batch(engine: EngineKind, out: &mut EngineOutcome) {
+    let scoring = Scoring::matrix(swsimd_matrices::blosum62());
+    let gaps = GapModel::Affine(GapPenalties::new(11, 1));
+    let lanes = lanes_for(engine);
+    let (query, db) = batch_case(lanes);
+    let batched = BatchedDatabase::build(&db, lanes, false);
+    let mut scores = Vec::new();
+    let mut stats = KernelStats::default();
+    for b in batched.batches() {
+        batch_score(engine, &query, b, &scoring, gaps, &mut stats, &mut scores);
+    }
+    let case = |what: String| {
+        format!(
+            "seeded/batch (seed=0x{:x} lanes={lanes} cols={BATCH_COLS}) {what}",
+            BATTERY_SEED + 1
+        )
+    };
+    let failure = |case: String, expected: i32, got: i32, detail: &'static str| CaseFailure {
+        engine,
+        precision: Precision::I8,
+        traceback: false,
+        case,
+        expected,
+        got,
+        detail,
+    };
+    out.checks += 1;
+    if scores.len() != db.len() {
+        out.failures.push(failure(
+            case("lane count".into()),
+            db.len() as i32,
+            scores.len() as i32,
+            "batch kernel returned the wrong number of lanes",
+        ));
+        return;
+    }
+    for ls in scores {
+        out.checks += 1;
+        let target = &db.encoded(ls.db_index as usize).idx;
+        let want = sw_scalar(&query, target, &scoring, gaps).score;
+        let ceiling = lane_max(Precision::I8);
+        let (ok, detail) = if ls.saturated {
+            (
+                want >= ceiling,
+                "batch lane saturated below the lane ceiling",
+            )
+        } else {
+            (
+                ls.score == want && want < ceiling,
+                "batch lane score mismatch vs scalar_ref",
+            )
+        };
+        if !ok {
+            out.failures.push(failure(
+                case(format!("seq {}", ls.db_index)),
+                want,
+                ls.score,
+                detail,
+            ));
+        }
+    }
 }
 
 fn lane_max(p: Precision) -> i32 {
@@ -284,6 +382,7 @@ pub fn run_battery_for(engine: EngineKind) -> EngineOutcome {
             }
         }
     }
+    check_batch(engine, &mut out);
     out
 }
 
@@ -365,6 +464,30 @@ mod tests {
         assert!(report.all_passed());
         assert!(report.failed_engines().is_empty());
         assert_eq!(report.failure_count(), 0);
+    }
+
+    #[test]
+    fn batch_case_has_a_saturating_lane_and_a_ragged_batch() {
+        let scoring = Scoring::matrix(swsimd_matrices::blosum62());
+        let gaps = GapModel::Affine(GapPenalties::new(11, 1));
+        for engine in EngineKind::available() {
+            let lanes = lanes_for(engine);
+            let (query, db) = batch_case(lanes);
+            let self_score = sw_scalar(&query, &db.encoded(0).idx, &scoring, gaps).score;
+            assert!(self_score > i8::MAX as i32, "{self_score}");
+            assert_eq!(db.len(), lanes + 5);
+            let longest = db.iter_encoded().map(|e| e.len()).max();
+            assert_eq!(longest, Some(BATCH_COLS));
+
+            let mut out = EngineOutcome {
+                engine,
+                checks: 0,
+                failures: Vec::new(),
+            };
+            check_batch(engine, &mut out);
+            assert_eq!(out.checks, 1 + db.len());
+            assert!(out.passed(), "{:?}", out.failures.first());
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! threads. [`upgma`] turns the scores into a rooted guide tree with
 //! branch lengths, rendered in Newick format.
 
+use swsimd_core::batch::lanes_for;
 use swsimd_core::{Aligner, AlignerBuilder};
-use swsimd_matrices::Alphabet;
-use swsimd_seq::{Database, SeqRecord};
+use swsimd_seq::{BatchedDatabase, Database, SeqRecord};
 
 /// Symmetric pairwise score matrix (`scores[i][j]`, `i != j`), plus the
 /// self-scores on the diagonal.
@@ -46,9 +46,13 @@ impl ScoreMatrix {
 
 /// Compute all pairwise local-alignment scores for a set of encoded
 /// sequences, distributing queries across `threads`.
+///
+/// The sequences are put into one [`Database`] (encoded once, with the
+/// aligners' alphabet); row `i` lays out only its successors `i+1..n`
+/// and searches them, so hit indices are already matrix columns.
 pub fn pairwise_scores<F>(seqs: &[Vec<u8>], threads: usize, make_aligner: F) -> ScoreMatrix
 where
-    F: Fn() -> AlignerBuilder + Sync,
+    F: Fn() -> AlignerBuilder,
 {
     let n = seqs.len();
     let mut scores = vec![vec![0i32; n]; n];
@@ -56,47 +60,35 @@ where
         return ScoreMatrix { scores };
     }
 
-    // Self-scores (cheap) + batched cross scores: sequence i is queried
-    // against the database of sequences j > i.
-    let threads = threads.max(1);
-    let rows: Vec<(usize, Vec<i32>)> = {
-        let mut out: Vec<Option<(usize, Vec<i32>)>> = vec![None; n];
-        std::thread::scope(|scope| {
-            let chunk = n.div_ceil(threads).max(1);
-            for slot_chunk in out.chunks_mut(chunk).enumerate() {
-                let (ci, slots) = slot_chunk;
-                let make_aligner = &make_aligner;
-                scope.spawn(move || {
-                    let mut aligner: Aligner = make_aligner().build();
-                    let alphabet = Alphabet::protein();
-                    for (k, slot) in slots.iter_mut().enumerate() {
-                        let i = ci * chunk + k;
-                        let mut row = vec![0i32; n];
-                        row[i] = aligner.align(&seqs[i], &seqs[i]).score;
-                        let rest: Vec<SeqRecord> = seqs[i + 1..]
-                            .iter()
-                            .map(|s| SeqRecord::new("t", alphabet.decode(s)))
-                            .collect();
-                        if !rest.is_empty() {
-                            let db = Database::from_records(rest, &alphabet);
-                            for hit in aligner.search(&seqs[i], &db, 0) {
-                                row[i + 1 + hit.db_index] = hit.score;
-                            }
-                        }
-                        *slot = Some((i, row));
+    let chunk = n.div_ceil(threads.max(1));
+    let aligners: Vec<Aligner> = (0..n.div_ceil(chunk))
+        .map(|_| make_aligner().build())
+        .collect();
+    let alphabet = aligners[0].alphabet();
+    let records = seqs
+        .iter()
+        .map(|s| SeqRecord::new("t", alphabet.decode(s)))
+        .collect();
+    let db = Database::from_records(records, alphabet);
+
+    // Self-scores plus the upper triangle, one contiguous block of rows
+    // per thread.
+    std::thread::scope(|scope| {
+        for ((ci, rows), mut aligner) in scores.chunks_mut(chunk).enumerate().zip(aligners) {
+            let db = &db;
+            scope.spawn(move || {
+                let lanes = lanes_for(aligner.engine());
+                for (k, row) in rows.iter_mut().enumerate() {
+                    let i = ci * chunk + k;
+                    row[i] = aligner.align(&seqs[i], &seqs[i]).score;
+                    let batched = BatchedDatabase::build_range(db, i + 1..n, lanes, true);
+                    for hit in aligner.search_batched(&seqs[i], db, &batched) {
+                        row[hit.db_index] = hit.score;
                     }
-                });
-            }
-        });
-        out.into_iter().flatten().collect()
-    };
-    for (i, row) in rows {
-        for (j, &v) in row.iter().enumerate() {
-            if v != 0 || i == j {
-                scores[i][j] = v;
-            }
+                }
+            });
         }
-    }
+    });
     // Mirror the upper triangle.
     for i in 0..n {
         for j in 0..i {
@@ -217,7 +209,8 @@ pub fn upgma(m: &ScoreMatrix) -> Option<GuideTree> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swsimd_matrices::blosum62;
+    use swsimd_core::sw_scalar;
+    use swsimd_matrices::{blosum62, Alphabet, SubstitutionMatrix};
     use swsimd_seq::{generate_exact, mutate};
 
     fn builder() -> AlignerBuilder {
@@ -251,6 +244,49 @@ mod tests {
         assert!(m.scores[0][1] > m.scores[0][3]);
         // Distances reflect that.
         assert!(m.distance(0, 1) < m.distance(0, 3));
+    }
+
+    /// Every entry of `m` equals the scalar reference under `builder`'s
+    /// scoring.
+    fn assert_exact(seqs: &[Vec<u8>], m: &ScoreMatrix, builder: AlignerBuilder) {
+        let a = builder.build();
+        for (i, qi) in seqs.iter().enumerate() {
+            for (j, tj) in seqs.iter().enumerate() {
+                let want = sw_scalar(qi, tj, a.scoring(), a.gap_model()).score;
+                assert_eq!(m.scores[i][j], want, "entry {i},{j}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_entry_matches_the_scalar_reference() {
+        // Close homologs saturate 8-bit lanes and take the promotion
+        // path; the unrelated tail sequences do not.
+        let base = generate_exact(150, 11).seq;
+        let mut seqs: Vec<Vec<u8>> = (0..5)
+            .map(|k| enc(&mutate(&base, 0.1 * k as f64, k)))
+            .collect();
+        seqs.extend((0..4).map(|k| enc(&generate_exact(20 + 31 * k, 40 + k as u64).seq)));
+        for threads in [1, 2, 4] {
+            assert_exact(&seqs, &pairwise_scores(&seqs, threads, builder), builder());
+        }
+    }
+
+    #[test]
+    fn dna_scores_use_the_aligner_alphabet() {
+        let dna = SubstitutionMatrix::match_mismatch("dna", Alphabet::dna(), 2, -3);
+        let alphabet = Alphabet::dna();
+        let seqs: Vec<Vec<u8>> = [
+            b"ACGTACGTTGCA".as_slice(),
+            b"ACGTTCGTTGCA",
+            b"TTTTGGGGCCCCAAAA",
+            b"GATTACA",
+        ]
+        .iter()
+        .map(|s| alphabet.encode(s))
+        .collect();
+        let make = || Aligner::builder().matrix(&dna);
+        assert_exact(&seqs, &pairwise_scores(&seqs, 2, make), make());
     }
 
     #[test]

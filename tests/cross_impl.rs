@@ -5,13 +5,40 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use swsimd::baselines::{sw_diag_classic_i16, sw_scan_i16, sw_striped_i16, sw_striped_i32};
+use swsimd::core::batch::lanes_for;
 use swsimd::core::{diag_score, sw_scalar, KernelStats};
 use swsimd::matrices::{blosum45, blosum62, pam250, Alphabet};
-use swsimd::seq::{generate_database, SynthConfig};
+use swsimd::seq::{generate_database, BatchedDatabase, Database, SeqRecord, SynthConfig};
 use swsimd::{Aligner, EngineKind, GapModel, GapPenalties, Precision, Scoring};
 
 fn rand_seq(rng: &mut StdRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(0..20u8)).collect()
+}
+
+/// `SWSIMD_FUZZ_CASES`, or `default` when unset.
+fn fuzz_cases(default: usize) -> usize {
+    std::env::var("SWSIMD_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+/// A homolog of `q`: about `rate` of its residues substituted, deleted
+/// or followed by an insertion.
+fn plant_homolog(rng: &mut StdRng, q: &[u8], rate: f64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(q.len() + 4);
+    for &r in q {
+        match rng.gen_range(0.0..1.0) / rate {
+            x if x < 0.6 => out.push(rng.gen_range(0..20u8)),
+            x if x < 0.8 => {}
+            x if x < 1.0 => out.extend([r, rng.gen_range(0..20u8)]),
+            _ => out.push(r),
+        }
+    }
+    if out.is_empty() {
+        out.push(q[0]);
+    }
+    out
 }
 
 #[test]
@@ -132,10 +159,7 @@ fn striped_lazy_f_carries_chains_under_higher_cells() {
 /// identifies a reproducible case.
 #[test]
 fn differential_fuzz_all_backends_vs_scalar() {
-    let cases: usize = std::env::var("SWSIMD_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let cases = fuzz_cases(500);
     let matrices = [blosum62(), blosum45(), pam250()];
     let penalties = [(11, 1), (2, 1), (5, 2)];
     for (ei, engine) in EngineKind::available().into_iter().enumerate() {
@@ -171,6 +195,89 @@ fn differential_fuzz_all_backends_vs_scalar() {
                     engine.name()
                 );
             }
+        }
+    }
+}
+
+/// The batch path under the same fuzz: per case a small random database
+/// (mixed lengths, a planted homolog that often saturates 8-bit lanes,
+/// enough sequences for full and ragged batches on every lane count)
+/// searched with `search_batched` on every available backend, every hit
+/// checked against the scalar reference. Scoring cycles through three
+/// matrices and fixed scores, gaps through two affine and one linear
+/// model. Scaled by `SWSIMD_FUZZ_CASES` like the pairwise fuzz.
+#[test]
+fn differential_fuzz_search_batched_vs_scalar() {
+    let cases = fuzz_cases(500);
+    let scorings = [
+        Scoring::matrix(blosum62()),
+        Scoring::matrix(blosum45()),
+        Scoring::matrix(pam250()),
+        Scoring::Fixed {
+            r#match: 2,
+            mismatch: -3,
+        },
+    ];
+    let gap_models = [
+        GapModel::Affine(GapPenalties::new(11, 1)),
+        GapModel::Affine(GapPenalties::new(5, 2)),
+        GapModel::Linear { gap: 4 },
+    ];
+    let alphabet = Alphabet::protein();
+    let seed = 0xFA22_BA7C_u64;
+    let mut rng = StdRng::seed_from_u64(seed);
+    for case in 0..cases {
+        let scoring = &scorings[case % scorings.len()];
+        let gaps = gap_models[case % gap_models.len()];
+        let lq = rng.gen_range(1..=48);
+        let q = rand_seq(&mut rng, lq);
+        // Every fourth database is big enough for a full 64-lane batch.
+        let n = rng.gen_range(1..=if case % 4 == 0 { 80 } else { 40 });
+        let homolog = rng.gen_range(0..n);
+        let seqs: Vec<Vec<u8>> = (0..n)
+            .map(|i| {
+                if i == homolog {
+                    let rate = rng.gen_range(0.0..0.4);
+                    plant_homolog(&mut rng, &q, rate)
+                } else {
+                    let len = rng.gen_range(1..=40);
+                    rand_seq(&mut rng, len)
+                }
+            })
+            .collect();
+        let want: Vec<i32> = seqs
+            .iter()
+            .map(|t| sw_scalar(&q, t, scoring, gaps).score)
+            .collect();
+        let records = seqs
+            .iter()
+            .map(|s| SeqRecord::new("t", alphabet.decode(s)))
+            .collect();
+        let db = Database::from_records(records, &alphabet);
+        for engine in EngineKind::available() {
+            let batched = BatchedDatabase::build(&db, lanes_for(engine), case % 2 == 0);
+            let mut aligner = Aligner::builder()
+                .scoring(scoring.clone())
+                .gap_model(gaps)
+                .engine(engine)
+                .build();
+            let mut seen = vec![false; n];
+            for hit in aligner.search_batched(&q, &db, &batched) {
+                assert!(!seen[hit.db_index], "duplicate hit {}", hit.db_index);
+                seen[hit.db_index] = true;
+                assert_eq!(
+                    hit.score,
+                    want[hit.db_index],
+                    "{} case {case} seq {} (qlen {lq}, db {n}, {gaps:?}, seed 0x{seed:x})",
+                    engine.name(),
+                    hit.db_index,
+                );
+            }
+            assert!(
+                seen.iter().all(|&s| s),
+                "{} case {case}: missing hits",
+                engine.name()
+            );
         }
     }
 }
